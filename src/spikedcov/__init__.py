@@ -28,8 +28,6 @@ from .distributions import (
     noncentral_chi2_cdf,
     sample_goe,
     sample_z_elliptical,
-    sample_z_v,
-    std_normal,
 )
 from .harness import (
     CellRow,
@@ -47,8 +45,6 @@ from .linalg import (
     EigenSystem,
     commutation_matrix,
     gram_schmidt_complement,
-    jacobi_eigen,
-    kron,
     sym_eigen,
     vec,
 )
@@ -74,19 +70,15 @@ __all__ = [
     "DegeneracyError",
     "EigenSystem",
     "sym_eigen",
-    "jacobi_eigen",
     "gram_schmidt_complement",
     "commutation_matrix",
     "vec",
-    "kron",
     # distributions
     "make_rng",
-    "std_normal",
     "chi2_cdf",
     "chi2_quantile",
     "noncentral_chi2_cdf",
     "sample_goe",
-    "sample_z_v",
     "sample_z_elliptical",
     # model
     "SpikeRate",

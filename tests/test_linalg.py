@@ -1,8 +1,9 @@
 """Linear algebra kernel tests.
 
 Ground truths: numpy.linalg.eigh for the LAPACK-backed path, the cyclic
-Jacobi sweep as an independent cross-check, and the 2x2 characteristic
-polynomial in closed form.
+Jacobi sweep (below) as an independent cross-check, the 2x2
+characteristic polynomial in closed form, and a modified Gram-Schmidt
+loop (below) as the reference for the QR-built complement frame.
 """
 
 import numpy as np
@@ -12,13 +13,83 @@ from hypothesis import strategies as st
 
 from spikedcov.linalg import (
     DegeneracyError,
+    EigenSystem,
+    _apply_sign_convention,
+    _require_symmetric,
     commutation_matrix,
     gram_schmidt_complement,
-    jacobi_eigen,
-    kron,
     sym_eigen,
     vec,
 )
+from spikedcov.statistics import hpv_statistic, summarize
+
+
+def jacobi_eigen(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> EigenSystem:
+    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+
+    A self-contained rotation-based routine, an independent cross-check
+    of :func:`sym_eigen` with the same output contract.
+    Convergence is declared when the off-diagonal Frobenius norm drops
+    below ``tol * ||A||_F``.
+    """
+    A = _require_symmetric(A)
+    p = A.shape[0]
+    B = A.copy()
+    V = np.eye(p)
+    norm_a = float(np.linalg.norm(A)) or 1.0
+    for _ in range(max_sweeps):
+        # Off-diagonal Frobenius norm, summed directly: the subtraction
+        # ||B||^2 - ||diag||^2 cancels catastrophically near convergence
+        # and would floor around sqrt(eps)*||A|| instead of reaching tol.
+        off = float(np.linalg.norm(B - np.diag(np.diag(B))))
+        if off < tol * norm_a:
+            break
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                diff = B[j, j] - B[i, i]
+                if abs(B[i, j]) <= 1e-300 * abs(diff):
+                    # entry already dead at this scale; rotating would
+                    # overflow the angle computation for nothing
+                    B[i, j] = B[j, i] = 0.0
+                    continue
+                # Classical two-sided Jacobi rotation annihilating B[i, j].
+                theta = 0.5 * diff / B[i, j]
+                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                rot = np.array([[c, s], [-s, c]])
+                idx = [i, j]
+                B[idx, :] = rot.T @ B[idx, :]
+                B[:, idx] = B[:, idx] @ rot
+                V[:, idx] = V[:, idx] @ rot
+    else:
+        raise RuntimeError("Jacobi iteration failed to converge")
+    lam = np.diag(B).copy()
+    order = np.argsort(lam)[::-1]
+    return EigenSystem(values=lam[order], vectors=_apply_sign_convention(V[:, order]))
+
+
+def reference_gram_schmidt(theta0, vecs):
+    """Modified Gram-Schmidt with one re-orthogonalization pass: each
+    input is projected off theta0 and the members built so far, then
+    normalized.  Raises DegeneracyError naming the position (theta0 is
+    position 1) of the first input whose residual norm is below 1e-12."""
+    basis = [np.asarray(theta0, dtype=float)]
+    out = []
+    for pos, v in enumerate(vecs, start=2):
+        u = np.array(v, dtype=float)
+        for _ in range(2):
+            for b in basis:
+                u -= (b @ u) * b
+        nrm = float(np.linalg.norm(u))
+        if nrm < 1e-12:
+            raise DegeneracyError(f"Gram-Schmidt degenerate at frame position j={pos}")
+        u /= nrm
+        basis.append(u)
+        out.append(u)
+    return np.array(out)
 
 
 def random_symmetric(p, seed):
@@ -143,6 +214,83 @@ class TestGramSchmidtComplement:
         assert "2" in str(exc.value)  # names the offending position
 
 
+class TestGramSchmidtOracle:
+    """The QR-built frame against the reference Gram-Schmidt loop."""
+
+    @staticmethod
+    def unit_vector(p, rng):
+        theta = rng.standard_normal(p)
+        return theta / np.linalg.norm(theta)
+
+    @pytest.mark.parametrize("p", [2, 10, 100])
+    def test_orthonormal_inputs_match_reference(self, p):
+        rng = np.random.default_rng(p)
+        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        for drop in sorted({0, 1, p - 1}):
+            theta0 = self.unit_vector(p, rng)
+            cols = [V[:, k] for k in range(p) if k != drop]
+            frame = gram_schmidt_complement(theta0, cols)
+            assert frame.shape == (p - 1, p)
+            np.testing.assert_allclose(frame, reference_gram_schmidt(theta0, cols), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 10, 100])
+    def test_non_orthonormal_inputs_match_reference(self, p):
+        rng = np.random.default_rng(1000 + p)
+        theta0 = self.unit_vector(p, rng)
+        cols = list(rng.standard_normal((p - 1, p)))
+        frame = gram_schmidt_complement(theta0, cols)
+        np.testing.assert_allclose(frame, reference_gram_schmidt(theta0, cols), atol=1e-12)
+
+    def test_frame_is_sequence_of_members(self):
+        rng = np.random.default_rng(3)
+        theta0 = self.unit_vector(5, rng)
+        cols = list(np.linalg.qr(rng.standard_normal((5, 5)))[0].T[1:])
+        frame = gram_schmidt_complement(theta0, cols)
+        assert len(frame) == 4
+        B = np.column_stack([theta0, *frame])
+        np.testing.assert_allclose(B.T @ B, np.eye(5), atol=1e-12)
+        for member, ref in zip(frame, reference_gram_schmidt(theta0, cols)):
+            np.testing.assert_allclose(member, ref, atol=1e-12)
+
+    def test_collinear_middle_input_names_its_position(self):
+        rng = np.random.default_rng(4)
+        theta0 = self.unit_vector(6, rng)
+        cols = list(rng.standard_normal((5, 6)))
+        # position 4 (the third input) in the span of theta0 and inputs 2, 3
+        cols[2] = 0.3 * theta0 - 1.7 * cols[0] + 0.6 * cols[1]
+        for build in (gram_schmidt_complement, reference_gram_schmidt):
+            with pytest.raises(DegeneracyError, match="j=4"):
+                build(theta0, cols)
+
+    @pytest.mark.parametrize("p", [2, 10, 100])
+    def test_hpv_statistic_matches_reference_frame(self, p):
+        # Q_H evaluated term by term on the reference frame, as the
+        # statistic was computed before the frame came from QR
+        rng = np.random.default_rng(2000 + p)
+        X = rng.standard_normal((200, p))
+        X[:, 0] *= 2.0
+        s = summarize(X)
+        for theta0 in (self.unit_vector(p, rng), np.eye(p)[0]):
+            for j in sorted({1, 2, p}):
+                others = [k for k in range(p) if k != j - 1]
+                frame = reference_gram_schmidt(theta0, [s.eigen.vectors[:, k] for k in others])
+                St0 = s.cov @ theta0
+                acc = 0.0
+                for k, member in zip(others, frame):
+                    acc += (member @ St0) ** 2 / s.eigen.values[k]
+                expected = s.n / s.eigen.values[j - 1] * acc
+                assert hpv_statistic(s, theta0, j) == pytest.approx(expected, rel=1e-12)
+
+    def test_validation(self):
+        theta0 = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unit"):
+            gram_schmidt_complement(2.0 * theta0, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="expected 2 vectors"):
+            gram_schmidt_complement(theta0, [[0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="length"):
+            gram_schmidt_complement(theta0, [[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_commutation_matrix_transposes_vec():
     rng = np.random.default_rng(1)
     for p in (2, 3, 5):
@@ -155,12 +303,6 @@ def test_commutation_matrix_transposes_vec():
 def test_vec_is_column_major():
     A = np.array([[1.0, 3.0], [2.0, 4.0]])
     np.testing.assert_array_equal(vec(A), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(2)
-    A, B = rng.standard_normal((2, 3)), rng.standard_normal((3, 2))
-    np.testing.assert_array_equal(kron(A, B), np.kron(A, B))
 
 
 @settings(max_examples=25, deadline=None)

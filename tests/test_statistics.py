@@ -288,6 +288,22 @@ class TestDecide:
             with pytest.raises(ValueError):
                 decide(1.0, 1, alpha)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0, -1e-6])
+    def test_bad_statistic_raises(self, bad):
+        # a non-finite or clearly negative statistic is degenerate, never
+        # an acceptance with p-value 1 or nan
+        with pytest.raises(DegeneracyError):
+            decide(bad, 3, 0.05)
+
+    def test_anderson_at_exact_eigenvector_decides(self):
+        # the collapsed statistic rounds to within the tolerance of 0 at
+        # every j, also at large n
+        s, _ = random_summary(20_000, 5, 19)
+        for j in range(1, 6):
+            out = decide(anderson_statistic(s, s.eigen.vectors[:, j - 1], j), 4, 0.05)
+            assert out.statistic < 1e-8
+            assert not out.reject
+
 
 def test_hpv_tracks_q_delta_for_large_n():
     """The data-driven statistic converges to the locally optimal one
