@@ -16,6 +16,7 @@ the text report.  A cell with no valid replicate reports ``freq`` and
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import time
@@ -361,6 +362,52 @@ def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
     return counts, degenerate
 
 
+# OpenBLAS entry points that set its thread count, by build: scipy-openblas
+# with 64-bit integers (numpy's wheels), with 32-bit integers (scipy's
+# wheels), then plain OpenBLAS with and without the 64-bit suffix.
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _openblas_libraries() -> list[str]:
+    """Paths of the OpenBLAS shared libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    return sorted(p for p in paths if "openblas" in p.rpartition("/")[2].lower())
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: cap every OpenBLAS loaded in this worker at one thread.
+
+    Workers are forked after numpy has loaded OpenBLAS, so an environment
+    variable set at that point is never read: each worker would keep the
+    default of one BLAS thread per core, and ``workers`` processes would
+    run ``workers`` × cores threads on the cores.  With the cap,
+    parallelism comes from the worker count alone.  Does nothing where
+    no OpenBLAS is found.
+    """
+    for path in _openblas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                break
+
+
 def _run_cells(config: ExperimentConfig):
     """Execute all cells, return (per-cell counts, per-cell degenerates)."""
     cells = _cells_for(config)
@@ -387,7 +434,9 @@ def _run_cells(config: ExperimentConfig):
             _absorb(ci, counts, degen)
     else:
         try:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=config.workers, initializer=_one_blas_thread
+            ) as pool:
                 futures = [
                     (ci, pool.submit(_chunk_counts, config, ci, lo, hi)) for ci, lo, hi in jobs
                 ]

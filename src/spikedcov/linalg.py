@@ -80,12 +80,8 @@ class EigenSystem:
 def _apply_sign_convention(V: np.ndarray) -> np.ndarray:
     # np.argmax returns the first index attaining the maximum, which is
     # exactly the "lowest row index" tie-break.
-    V = V.copy()
-    for j in range(V.shape[1]):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0.0:
-            V[:, j] = -V[:, j]
-    return V
+    k = np.argmax(np.abs(V), axis=0)
+    return V * np.where(V[k, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def sym_eigen(A: np.ndarray) -> EigenSystem:

@@ -150,8 +150,8 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
         raise ValueError("need n >= p+1 so the sample covariance is nonsingular")
     r = model.rate.at(n)
     spike = math.sqrt(1.0 + r * model.v) - 1.0
-    G = rng.standard_normal((n, model.p))
-    X = G + np.outer(G @ model.theta1, spike * model.theta1)
+    X = rng.standard_normal((n, model.p))
+    X += np.outer(X @ model.theta1, spike * model.theta1)
     X *= model.sigma
     if family.kind == "student-t":
         nu = family.nu
@@ -159,7 +159,8 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
         X *= (math.sqrt((nu - 2.0) / nu) / np.sqrt(w / nu))[:, None]
     elif family.kind != "gaussian":
         raise ValueError(f"unknown radial family {family.kind!r}")
-    return X + model.mu
+    X += model.mu
+    return X
 
 
 def kurtosis_of(family: RadialFamily, p: int) -> float:

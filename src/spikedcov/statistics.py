@@ -184,11 +184,13 @@ def kurtosis_estimate(X: np.ndarray) -> float:
 def kurtosis_from_summary(s: SampleSummary, X: np.ndarray) -> float:
     """κ̂ computed against an existing summary (avoids re-decomposing S)."""
     X = np.asarray(X, dtype=float)
-    Xc = X - s.mean
-    # d_i² via the spectral inverse of S.
-    W = Xc @ s.eigen.vectors
-    d2 = (W * W / s.eigen.values).sum(axis=1)
-    return float(np.mean(d2**2) / (s.p * (s.p + 2)) - 1.0)
+    # d_i² via the spectral inverse of S, squared and scaled in place.
+    W = (X - s.mean) @ s.eigen.vectors
+    W *= W
+    W /= s.eigen.values
+    d2 = W.sum(axis=1)
+    d2 *= d2
+    return float(np.mean(d2) / (s.p * (s.p + 2)) - 1.0)
 
 
 def pseudo_gaussian(statistic: float, kappa_hat: float) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from spikedcov import asymptotics
 from spikedcov.asymptotics import (
     EigenvectorFrame,
     asymptotic_power,
@@ -29,7 +30,7 @@ from spikedcov.asymptotics import (
     type1_risk_iii,
     type1_risk_iv,
 )
-from spikedcov.distributions import make_rng
+from spikedcov.distributions import make_rng, sample_z_elliptical
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
 from spikedcov.statistics import q_delta, summarize
 
@@ -40,6 +41,42 @@ def unit(p, i=0):
     e = np.zeros(p)
     e[i] = 1.0
     return e
+
+
+def _qa_from_spectrum(lam_desc: np.ndarray, first_components: np.ndarray) -> float:
+    """Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² from the full eigendecomposition."""
+    l1 = lam_desc[0]
+    return float(np.sum((l1 - lam_desc[1:]) ** 2 * first_components[1:] ** 2))
+
+
+def _qa_from_eigh(Z: np.ndarray, kappa: float) -> float:
+    lam, V = np.linalg.eigh(Z)
+    return _qa_from_spectrum(lam[::-1], V[0, ::-1]) / (1.0 + kappa)
+
+
+class TestLimitLawIdentity:
+    """The samplers use Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² = ‖(Z − ℓ₁I)e₁‖²,
+    which needs only the top eigenvalue; the eigh form is the oracle."""
+
+    CASES = [
+        (p, v, kappa) for p in (2, 3, 10) for v in (0.0, 2.0, 8.0) for kappa in (0.0, 0.5, -0.1)
+    ]
+
+    def test_single_draw_matches_eigh_form(self):
+        for p, v, kappa in self.CASES:
+            for seed in range(5):
+                got = qa_limit_sample(p, v, kappa, make_rng(seed))
+                Z = sample_z_elliptical(p, kappa, make_rng(seed))
+                Z[0, 0] += v
+                assert got == pytest.approx(_qa_from_eigh(Z, kappa), rel=1e-12)
+
+    def test_block_matches_eigh_form(self):
+        for p, v, kappa in self.CASES:
+            got = asymptotics._qa_limit_block(p, v, kappa, 200, make_rng(7))
+            Z = asymptotics._elliptical_block(p, kappa, 200, make_rng(7))
+            Z[:, 0, 0] += v
+            ref = np.array([_qa_from_eigh(z, kappa) for z in Z])
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 class TestQaLimitSampler:

@@ -1,6 +1,9 @@
 """Monte Carlo harness: configuration, determinism, output shape."""
 
+import builtins
+import ctypes
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +28,62 @@ def tiny_null_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def blas_threads() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process, read through
+    the get-threads entry point that matches its set-threads one."""
+    out = []
+    for path in harness._openblas_libraries():
+        lib = ctypes.CDLL(path)
+        for name in harness._OPENBLAS_SET_THREADS:
+            get_threads = getattr(lib, name.replace("_set_", "_get_"), None)
+            if get_threads is not None:
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                out.append(get_threads())
+                break
+    return out
+
+
+def blas_threads_chunk(config, cell_index, lo, hi):
+    """Stands in for ``_chunk_counts``: reports the worker's BLAS threads."""
+    return np.array(blas_threads(), dtype=np.int64), 0
+
+
+class TestPoolWorkers:
+    def test_pooled_worker_runs_one_blas_thread(self, monkeypatch):
+        if not blas_threads():
+            pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
+        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        cfg = tiny_null_config(M=4, ells=(0,), workers=2)
+        _, results = harness._run_cells(cfg)
+        counts, _ = results[0]
+        # Four one-replicate chunks, each reporting its worker's threads.
+        np.testing.assert_array_equal(counts, np.full(len(blas_threads()), 4))
+
+    def test_initializer_is_noop_without_maps(self, monkeypatch):
+        before = blas_threads()
+        real_open = builtins.open
+
+        def no_maps(file, *args, **kwargs):
+            if file == "/proc/self/maps":
+                raise PermissionError(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_maps)
+        assert harness._openblas_libraries() == []
+        harness._one_blas_thread()
+        monkeypatch.undo()
+        assert blas_threads() == before
+
+    def test_pooled_pseudo_student_grid_matches_one_process(self):
+        cfg = tiny_null_config(
+            M=30, families=(RadialFamily.student_t(6),), ells=(0, 3), pseudo=True
+        )
+        one = run_null_grid(cfg).to_csv()
+        assert "hpv_pseudo" in one
+        assert run_null_grid(replace(cfg, workers=2)).to_csv() == one
 
 
 class TestConfig:

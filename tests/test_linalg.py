@@ -71,6 +71,16 @@ def jacobi_eigen(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> Eig
     return EigenSystem(values=lam[order], vectors=_apply_sign_convention(V[:, order]))
 
 
+def reference_sign_convention(V: np.ndarray) -> np.ndarray:
+    """Column-by-column form of the eigenvector sign convention."""
+    V = V.copy()
+    for j in range(V.shape[1]):
+        k = int(np.argmax(np.abs(V[:, j])))
+        if V[k, j] < 0.0:
+            V[:, j] = -V[:, j]
+    return V
+
+
 def reference_gram_schmidt(theta0, vecs):
     """Modified Gram-Schmidt with one re-orthogonalization pass: each
     input is projected off theta0 and the members built so far, then
@@ -139,6 +149,20 @@ class TestSymEigen:
         es1 = sym_eigen(A)
         es2 = sym_eigen(A.copy())
         np.testing.assert_array_equal(es1.vectors, es2.vectors)
+
+    def test_sign_convention_matches_column_loop(self):
+        rng = np.random.default_rng(5)
+        tied = np.array(
+            [
+                [0.5, -0.5, 0.0, -0.5],
+                [-0.5, 0.5, -0.0, 0.5],
+                [0.5, 0.5, 1.0, -0.5],
+                [-0.5, -0.5, 0.0, 0.5],
+            ]
+        )
+        for V in (rng.standard_normal((7, 7)), rng.standard_normal((3, 5)), tied):
+            got = _apply_sign_convention(V)
+            assert got.tobytes() == reference_sign_convention(V).tobytes()
 
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])

@@ -113,7 +113,42 @@ class TestSpikedModel:
             SpikedModel(p=3, sigma=1.0, v=1.0, rate=SpikeRate.constant(), theta1=np.ones(3))
 
 
+def reference_sample(model, n, family, rng):
+    """``sample`` written with fresh arrays: G + (Gθ₁)(spike·θ₁)ᵀ, scaled,
+    radially mixed, then shifted by mu."""
+    spike = math.sqrt(1.0 + model.rate.at(n) * model.v) - 1.0
+    G = rng.standard_normal((n, model.p))
+    X = G + np.outer(G @ model.theta1, spike * model.theta1)
+    X *= model.sigma
+    if family.kind == "student-t":
+        nu = family.nu
+        w = rng.chisquare(nu, size=n)
+        X *= (math.sqrt((nu - 2.0) / nu) / np.sqrt(w / nu))[:, None]
+    return X + model.mu
+
+
+def scaled_shifted_model(p):
+    theta = np.arange(1.0, p + 1.0)
+    return SpikedModel(
+        p=p,
+        sigma=1.7,
+        v=2.5,
+        rate=SpikeRate.exponent(2),
+        theta1=theta / np.linalg.norm(theta),
+        mu=np.linspace(-3.0, 2.0, p),
+    )
+
+
 class TestSampling:
+    @pytest.mark.parametrize("family", [RadialFamily.gaussian(), RadialFamily.student_t(6)])
+    def test_matches_reference_bit_for_bit(self, family):
+        for p, n in ((3, 50), (10, 2000)):
+            m = scaled_shifted_model(p)
+            for seed in range(3):
+                X = sample(m, n, family, make_rng(seed))
+                ref = reference_sample(m, n, family, make_rng(seed))
+                assert X.tobytes() == ref.tobytes()
+
     def test_gaussian_moments(self):
         theta = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         m = SpikedModel(p=3, sigma=1.0, v=2.0, rate=SpikeRate.constant(1.0), theta1=theta)

@@ -17,6 +17,7 @@ from spikedcov.statistics import (
     decide,
     hpv_statistic,
     kurtosis_estimate,
+    kurtosis_from_summary,
     oracle_statistic,
     pseudo_gaussian,
     q_delta,
@@ -229,6 +230,29 @@ class TestKurtosis:
         k0 = kurtosis_estimate(X)
         k1 = kurtosis_estimate(X @ A + np.array([1.0, 2.0, 3.0]))
         assert k0 == pytest.approx(k1, abs=1e-9)
+
+    @pytest.mark.parametrize("nu", [None, 6.0])
+    def test_from_summary_matches_reference_bit_for_bit(self, nu):
+        from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
+
+        family = RadialFamily.gaussian() if nu is None else RadialFamily.student_t(nu)
+        theta = np.arange(1.0, 11.0)
+        m = SpikedModel(
+            p=10,
+            sigma=1.7,
+            v=2.5,
+            rate=SpikeRate.exponent(2),
+            theta1=theta / np.linalg.norm(theta),
+            mu=np.linspace(-3.0, 2.0, 10),
+        )
+        for seed in range(3):
+            X = sample(m, 2000, family, make_rng(seed))
+            s = summarize(X)
+            # κ̂ as fresh-array expressions: W = (X − X̄)V, d² = Σ W²/λ̂.
+            W = (X - s.mean) @ s.eigen.vectors
+            d2 = (W * W / s.eigen.values).sum(axis=1)
+            ref = float(np.mean(d2**2) / (10 * 12) - 1.0)
+            assert kurtosis_from_summary(s, X) == ref
 
     def test_pseudo_gaussian(self):
         assert pseudo_gaussian(6.0, 0.5) == pytest.approx(4.0)
