@@ -43,10 +43,8 @@ from .harness import (
 from .linalg import (
     DegeneracyError,
     EigenSystem,
-    commutation_matrix,
     gram_schmidt_complement,
     sym_eigen,
-    vec,
 )
 from .model import RadialFamily, SpikedModel, SpikeRate, covariance_at, kurtosis_of, sample
 from .statistics import (
@@ -71,8 +69,6 @@ __all__ = [
     "EigenSystem",
     "sym_eigen",
     "gram_schmidt_complement",
-    "commutation_matrix",
-    "vec",
     # distributions
     "make_rng",
     "chi2_cdf",

@@ -136,6 +136,8 @@ class ExperimentResult:
     rows: tuple[CellRow, ...]
     degenerate: tuple[tuple[str, int], ...] = ()
     wall_time: float = 0.0
+    # OpenBLAS libraries whose thread count the replicates ran capped at 1.
+    blas_capped: int = 0
 
     def to_csv(self) -> str:
         if not self.rows:
@@ -188,6 +190,10 @@ class ExperimentResult:
         else:
             lines.append("degenerate replicates: none")
         lines.append(f"rows: {len(self.rows)}")
+        if self.blas_capped:
+            lines.append(f"blas_threads: 1 ({self.blas_capped} OpenBLAS libraries capped)")
+        else:
+            lines.append("blas_threads: library default (no OpenBLAS found)")
         lines.append(f"wall_time_s: {self.wall_time:.3f}")
         return "\n".join(lines) + "\n"
 
@@ -384,16 +390,11 @@ def _openblas_libraries() -> list[str]:
     return sorted(p for p in paths if "openblas" in p.rpartition("/")[2].lower())
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: cap every OpenBLAS loaded in this worker at one thread.
-
-    Workers are forked after numpy has loaded OpenBLAS, so an environment
-    variable set at that point is never read: each worker would keep the
-    default of one BLAS thread per core, and ``workers`` processes would
-    run ``workers`` × cores threads on the cores.  With the cap,
-    parallelism comes from the worker count alone.  Does nothing where
-    no OpenBLAS is found.
-    """
+def _openblas_thread_controls() -> dict[str, tuple]:
+    """(get-threads, set-threads) entry points of each loaded OpenBLAS, by
+    path.  A library without a get-threads entry point that matches its
+    set-threads one is left out: its count could not be restored."""
+    controls = {}
     for path in _openblas_libraries():
         try:
             lib = ctypes.CDLL(path)
@@ -401,15 +402,50 @@ def _one_blas_thread() -> None:
             continue
         for name in _OPENBLAS_SET_THREADS:
             set_threads = getattr(lib, name, None)
-            if set_threads is not None:
+            get_threads = getattr(lib, name.replace("_set_", "_get_"), None)
+            if set_threads is not None and get_threads is not None:
                 set_threads.argtypes = [ctypes.c_int]
                 set_threads.restype = None
-                set_threads(1)
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                controls[path] = (get_threads, set_threads)
                 break
+    return controls
+
+
+def _set_blas_threads(threads: int | dict[str, int]) -> dict[str, int]:
+    """Set the thread count of every loaded OpenBLAS; return the previous
+    counts, by library path.
+
+    ``threads`` is one count for every library, or the dict an earlier
+    call returned, which restores the counts it holds.  The count is
+    per process, so other threads of the caller share it.  Does nothing
+    where no OpenBLAS is found.
+    """
+    previous = {}
+    for path, (get_threads, set_threads) in _openblas_thread_controls().items():
+        n = threads if isinstance(threads, int) else threads.get(path)
+        if n is not None:
+            previous[path] = get_threads()
+            set_threads(n)
+    return previous
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: cap every OpenBLAS loaded in this worker at one thread.
+
+    Workers are forked after numpy has loaded OpenBLAS, so an environment
+    variable set at that point is never read: each worker would keep the
+    default of one BLAS thread per core, and ``workers`` processes would
+    run ``workers`` × cores threads on the cores.  With the cap,
+    parallelism comes from the worker count alone.
+    """
+    _set_blas_threads(1)
 
 
 def _run_cells(config: ExperimentConfig):
-    """Execute all cells, return (per-cell counts, per-cell degenerates)."""
+    """Execute all cells; return (cells, per-cell (counts, degenerates),
+    number of OpenBLAS libraries the replicates ran capped at one thread)."""
     cells = _cells_for(config)
     jobs = []  # (cell_index, lo, hi)
     chunk = config.M if config.workers == 1 else max(1, math.ceil(config.M / (config.workers * 4)))
@@ -428,11 +464,23 @@ def _run_cells(config: ExperimentConfig):
         else:
             results[ci] = (counts, degen)
 
+    def _inline() -> int:
+        # One BLAS thread for the chunks, then the caller's counts again.
+        previous = _set_blas_threads(1)
+        try:
+            for ci, lo, hi in jobs:
+                _absorb(ci, *_chunk_counts(config, ci, lo, hi))
+        finally:
+            _set_blas_threads(previous)
+        return len(previous)
+
     if config.workers == 1:
-        for ci, lo, hi in jobs:
-            counts, degen = _chunk_counts(config, ci, lo, hi)
-            _absorb(ci, counts, degen)
+        capped = _inline()
     else:
+        # The grid process only waits on its workers, so its own counts
+        # stay as they are: raising a count once the pool has forked
+        # starts OpenBLAS threads that spin on the caller's cores.
+        capped = len(_openblas_thread_controls())
         try:
             with ProcessPoolExecutor(
                 max_workers=config.workers, initializer=_one_blas_thread
@@ -446,10 +494,8 @@ def _run_cells(config: ExperimentConfig):
         except (OSError, PermissionError) as exc:  # stripped-down environments
             logger.warning("process pool unavailable (%s); running inline", exc)
             results.clear()
-            for ci, lo, hi in jobs:
-                counts, degen = _chunk_counts(config, ci, lo, hi)
-                _absorb(ci, counts, degen)
-    return cells, results
+            capped = _inline()
+    return cells, results, capped
 
 
 def _freq_rows(config: ExperimentConfig, cells, results) -> tuple[list[CellRow], list]:
@@ -481,32 +527,35 @@ def _freq_rows(config: ExperimentConfig, cells, results) -> tuple[list[CellRow],
     return rows, degenerate
 
 
-def run_null_grid(config: ExperimentConfig) -> ExperimentResult:
-    """Rejection frequencies of both tests (plus pseudo-Gaussian versions
-    for elliptical families) under the null across the spike-rate grid."""
-    config = replace(config, experiment="null") if config.experiment != "null" else config
+def _run_grid(config: ExperimentConfig, experiment: str, extra_rows=None) -> ExperimentResult:
+    """Run ``config`` as an ``experiment`` grid.  ``extra_rows(config,
+    cells)`` returns the rows that follow the Monte Carlo frequencies."""
+    if config.experiment != experiment:
+        config = replace(config, experiment=experiment)
     start = time.perf_counter()
-    cells, results = _run_cells(config)
+    cells, results, capped = _run_cells(config)
     rows, degenerate = _freq_rows(config, cells, results)
+    if extra_rows is not None:
+        rows += extra_rows(config, cells)
     return ExperimentResult(
         config=config,
         rows=tuple(rows),
         degenerate=tuple(degenerate),
         wall_time=time.perf_counter() - start,
+        blas_capped=capped,
     )
 
 
-def run_power_grid(config: ExperimentConfig) -> ExperimentResult:
-    """Empirical power of the Gram-Schmidt and oracle tests against local
-    alternatives on the contiguity boundary, with the corresponding
-    noncentral-chi-square predictions emitted side by side (rows
-    ``hpv_asymptotic``/``oracle_asymptotic``, SE 0, M 0)."""
+def run_null_grid(config: ExperimentConfig) -> ExperimentResult:
+    """Rejection frequencies of both tests (plus pseudo-Gaussian versions
+    for elliptical families) under the null across the spike-rate grid."""
+    return _run_grid(config, "null")
+
+
+def _power_prediction_rows(config: ExperimentConfig, cells) -> list[CellRow]:
     from .asymptotics import asymptotic_power, ncp_hpv_iii, ncp_oracle_iii
 
-    config = replace(config, experiment="power") if config.experiment != "power" else config
-    start = time.perf_counter()
-    cells, results = _run_cells(config)
-    rows, degenerate = _freq_rows(config, cells, results)
+    rows = []
     for cell in cells:
         tau = _tau_norm(cell["k"])
         columns = _cell_columns(config, cell)
@@ -527,22 +576,19 @@ def run_power_grid(config: ExperimentConfig) -> ExperimentResult:
                         seed=config.seed,
                     )
                 )
-    return ExperimentResult(
-        config=config,
-        rows=tuple(rows),
-        degenerate=tuple(degenerate),
-        wall_time=time.perf_counter() - start,
-    )
+    return rows
 
 
-def run_regime3_size(config: ExperimentConfig) -> ExperimentResult:
-    """Anderson rejection frequency along a spike-strength grid on the
-    contiguity boundary, with the limit-law risk estimate
-    (rows ``anderson_limit``) for comparison."""
-    config = replace(config, experiment="regime3") if config.experiment != "regime3" else config
-    start = time.perf_counter()
-    cells, results = _run_cells(config)
-    rows, degenerate = _freq_rows(config, cells, results)
+def run_power_grid(config: ExperimentConfig) -> ExperimentResult:
+    """Empirical power of the Gram-Schmidt and oracle tests against local
+    alternatives on the contiguity boundary, with the corresponding
+    noncentral-chi-square predictions emitted side by side (rows
+    ``hpv_asymptotic``/``oracle_asymptotic``, SE 0, M 0)."""
+    return _run_grid(config, "power", _power_prediction_rows)
+
+
+def _limit_law_rows(config: ExperimentConfig, cells) -> list[CellRow]:
+    rows = []
     for ci, cell in enumerate(cells):
         columns = _cell_columns(config, cell)
         for alpha in config.alphas:
@@ -560,12 +606,14 @@ def run_regime3_size(config: ExperimentConfig) -> ExperimentResult:
                     seed=config.seed,
                 )
             )
-    return ExperimentResult(
-        config=config,
-        rows=tuple(rows),
-        degenerate=tuple(degenerate),
-        wall_time=time.perf_counter() - start,
-    )
+    return rows
+
+
+def run_regime3_size(config: ExperimentConfig) -> ExperimentResult:
+    """Anderson rejection frequency along a spike-strength grid on the
+    contiguity boundary, with the limit-law risk estimate
+    (rows ``anderson_limit``) for comparison."""
+    return _run_grid(config, "regime3", _limit_law_rows)
 
 
 def run_highdim(config: ExperimentConfig) -> ExperimentResult:
@@ -573,16 +621,7 @@ def run_highdim(config: ExperimentConfig) -> ExperimentResult:
     (p = c·n).  Once p ≥ n the sample covariance is singular: the
     Anderson row is dropped and every replicate of the cell is counted as
     degenerate, so its ``hpv`` row has ``M = 0`` and ``freq = nan``."""
-    config = replace(config, experiment="highdim") if config.experiment != "highdim" else config
-    start = time.perf_counter()
-    cells, results = _run_cells(config)
-    rows, degenerate = _freq_rows(config, cells, results)
-    return ExperimentResult(
-        config=config,
-        rows=tuple(rows),
-        degenerate=tuple(degenerate),
-        wall_time=time.perf_counter() - start,
-    )
+    return _run_grid(config, "highdim")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

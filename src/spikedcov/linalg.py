@@ -1,8 +1,7 @@
 """Dense small-matrix kernels.
 
-Symmetric eigendecomposition with a deterministic sign convention,
-Gram-Schmidt complements of a hypothesized direction, and the
-vec/commutation utilities used throughout the package.
+Symmetric eigendecomposition with a deterministic sign convention and
+Gram-Schmidt complements of a hypothesized direction.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ __all__ = [
     "EigenSystem",
     "sym_eigen",
     "gram_schmidt_complement",
-    "commutation_matrix",
-    "vec",
 ]
 
 # Relative tolerance below which a matrix is accepted as symmetric.
@@ -162,22 +159,3 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
         )
     return (Q[:, 1:] * np.where(r[1:] < 0.0, -1.0, 1.0)).T
 
-
-def commutation_matrix(p: int) -> np.ndarray:
-    """The p²×p² permutation K_p with K_p vec(A) = vec(Aᵀ) for all p×p A."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    K = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            # vec(A)[j*p + i] = A[i, j] maps to vec(Aᵀ)[i*p + j].
-            K[i * p + j, j * p + i] = 1.0
-    return K
-
-
-def vec(A: np.ndarray) -> np.ndarray:
-    """Stack the columns of ``A`` into a single vector."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("vec expects a matrix")
-    return A.reshape(-1, order="F")

@@ -35,7 +35,6 @@ from spikedcov.harness import (
     run_null_grid,
     run_power_grid,
 )
-from spikedcov.linalg import commutation_matrix, vec
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
 from spikedcov.statistics import (
     anderson_statistic,
@@ -45,6 +44,8 @@ from spikedcov.statistics import (
     summarize,
     summary_from_covariance,
 )
+
+from matrix_helpers import commutation_matrix, vec
 
 SEED = 20260815
 

@@ -27,7 +27,8 @@ from spikedcov.distributions import (
     sample_goe,
     sample_z_elliptical,
 )
-from spikedcov.linalg import commutation_matrix, vec
+
+from matrix_helpers import commutation_matrix, vec
 
 # frozen from scipy.stats.chi2 / scipy.stats.ncx2 (oracle run 2026-08-15)
 CHI2_QUANTILES = [

@@ -30,9 +30,9 @@ def tiny_null_config(**kw):
     return ExperimentConfig(**defaults)
 
 
-def blas_threads() -> list[int]:
-    """Thread count of every OpenBLAS loaded in this process, read through
-    the get-threads entry point that matches its set-threads one."""
+def blas_thread_entry_points() -> list[tuple]:
+    """(get-threads, set-threads) ctypes functions of every OpenBLAS loaded
+    in this process whose set-threads entry point has a get-threads match."""
     out = []
     for path in harness._openblas_libraries():
         lib = ctypes.CDLL(path)
@@ -41,14 +41,50 @@ def blas_threads() -> list[int]:
             if get_threads is not None:
                 get_threads.argtypes = []
                 get_threads.restype = ctypes.c_int
-                out.append(get_threads())
+                set_threads = getattr(lib, name)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                out.append((get_threads, set_threads))
                 break
     return out
+
+
+def blas_threads() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process, read through
+    the get-threads entry point that matches its set-threads one."""
+    return [get_threads() for get_threads, _ in blas_thread_entry_points()]
 
 
 def blas_threads_chunk(config, cell_index, lo, hi):
     """Stands in for ``_chunk_counts``: reports the worker's BLAS threads."""
     return np.array(blas_threads(), dtype=np.int64), 0
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS of this process set to 2 threads for the test, then
+    put back to the counts it had."""
+    entry_points = blas_thread_entry_points()
+    if not entry_points:
+        pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
+    before = blas_threads()
+    for _, set_threads in entry_points:
+        set_threads(2)
+    yield
+    for (_, set_threads), count in zip(entry_points, before):
+        set_threads(count)
+
+
+def no_proc_maps(monkeypatch):
+    """Make ``/proc/self/maps`` unreadable until ``monkeypatch.undo()``."""
+    real_open = builtins.open
+
+    def no_maps(file, *args, **kwargs):
+        if file == "/proc/self/maps":
+            raise PermissionError(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_maps)
 
 
 class TestPoolWorkers:
@@ -57,21 +93,14 @@ class TestPoolWorkers:
             pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
         monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
         cfg = tiny_null_config(M=4, ells=(0,), workers=2)
-        _, results = harness._run_cells(cfg)
+        _, results, _ = harness._run_cells(cfg)
         counts, _ = results[0]
         # Four one-replicate chunks, each reporting its worker's threads.
         np.testing.assert_array_equal(counts, np.full(len(blas_threads()), 4))
 
     def test_initializer_is_noop_without_maps(self, monkeypatch):
         before = blas_threads()
-        real_open = builtins.open
-
-        def no_maps(file, *args, **kwargs):
-            if file == "/proc/self/maps":
-                raise PermissionError(file)
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", no_maps)
+        no_proc_maps(monkeypatch)
         assert harness._openblas_libraries() == []
         harness._one_blas_thread()
         monkeypatch.undo()
@@ -84,6 +113,59 @@ class TestPoolWorkers:
         one = run_null_grid(cfg).to_csv()
         assert "hpv_pseudo" in one
         assert run_null_grid(replace(cfg, workers=2)).to_csv() == one
+
+    def test_one_process_grid_runs_one_blas_thread_and_restores(
+        self, monkeypatch, two_blas_threads
+    ):
+        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        cfg = tiny_null_config(ells=(0, 5), workers=1)
+        _, results, capped = harness._run_cells(cfg)
+        libraries = len(blas_threads())
+        assert capped == libraries
+        # One chunk per cell, each reporting 1 thread per library.
+        for ci in (0, 1):
+            counts, _ = results[ci]
+            np.testing.assert_array_equal(counts, np.ones(libraries))
+        assert blas_threads() == [2] * libraries
+
+    def test_counts_restored_when_a_chunk_raises(self, monkeypatch, two_blas_threads):
+        def failing_chunk(config, cell_index, lo, hi):
+            assert blas_threads() == [1] * len(blas_threads())
+            raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(harness, "_chunk_counts", failing_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            harness._run_cells(tiny_null_config(workers=1))
+        assert blas_threads() == [2] * len(blas_threads())
+
+    def test_pooled_grid_leaves_grid_process_threads_alone(self, monkeypatch, two_blas_threads):
+        calls = []
+        set_blas_threads = harness._set_blas_threads
+
+        def recording(threads):
+            # A forked worker appends to its own copy of ``calls``.
+            calls.append(threads)
+            return set_blas_threads(threads)
+
+        monkeypatch.setattr(harness, "_set_blas_threads", recording)
+        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        cfg = tiny_null_config(M=4, ells=(0,), workers=2)
+        _, results, capped = harness._run_cells(cfg)
+        libraries = len(blas_threads())
+        assert calls == []
+        assert capped == libraries
+        np.testing.assert_array_equal(results[0][0], np.full(libraries, 4))
+        assert blas_threads() == [2] * libraries
+
+    def test_one_process_grid_without_maps_gives_same_csv(self, monkeypatch):
+        cfg = tiny_null_config(workers=1)
+        expected = run_null_grid(cfg).to_csv()
+        no_proc_maps(monkeypatch)
+        result = run_null_grid(cfg)
+        monkeypatch.undo()
+        assert result.to_csv() == expected
+        assert result.blas_capped == 0
+        assert "blas_threads: library default (no OpenBLAS found)" in result.to_text()
 
 
 class TestConfig:
@@ -171,6 +253,12 @@ class TestNullGrid:
         assert "ells: 0,5" in text
         assert "wall_time_s:" in text
         assert "degenerate replicates" in text
+        libraries = len(blas_threads())
+        if libraries:
+            assert f"blas_threads: 1 ({libraries} OpenBLAS libraries capped)" in text
+        else:
+            assert "blas_threads: library default (no OpenBLAS found)" in text
+        assert "blas" not in res.to_csv()
 
 
 class TestPowerGrid:

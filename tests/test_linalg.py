@@ -16,12 +16,12 @@ from spikedcov.linalg import (
     EigenSystem,
     _apply_sign_convention,
     _require_symmetric,
-    commutation_matrix,
     gram_schmidt_complement,
     sym_eigen,
-    vec,
 )
 from spikedcov.statistics import hpv_statistic, summarize
+
+from matrix_helpers import commutation_matrix, vec
 
 
 def jacobi_eigen(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> EigenSystem:
