@@ -17,6 +17,7 @@ from .asymptotics import (
     ncp_oracle_iii,
     ncp_regime12,
     qa_limit_sample,
+    sample_z_elliptical,
     type1_risk_iii,
     type1_risk_iv,
 )
@@ -26,8 +27,6 @@ from .distributions import (
     chi2_quantile,
     make_rng,
     noncentral_chi2_cdf,
-    sample_goe,
-    sample_z_elliptical,
 )
 from .harness import (
     CellRow,
@@ -74,8 +73,6 @@ __all__ = [
     "chi2_cdf",
     "chi2_quantile",
     "noncentral_chi2_cdf",
-    "sample_goe",
-    "sample_z_elliptical",
     # model
     "SpikeRate",
     "RadialFamily",
@@ -101,6 +98,7 @@ __all__ = [
     "LocalAlternative",
     "LocalExperiment",
     "RiskEstimate",
+    "sample_z_elliptical",
     "qa_limit_sample",
     "type1_risk_iii",
     "type1_risk_iv",

@@ -6,11 +6,11 @@ the random-matrix functional
 
     Q_A  →  Σ_{j=2}^p (ℓ₁(v) − ℓ_j(v))² (w_{j1}(v))²,
 
-built from the spectrum and eigenvector frame of a GOE-type matrix with a
-rank-one shift v.  This module samples that law (Gaussian and elliptical),
-estimates the resulting type-I risks, evaluates the joint eigenvalue
-density, and provides the noncentrality parameters and power curves of the
-local analysis.
+built from the spectrum and eigenvector frame of the limit matrix Z_f
+with a rank-one shift v.  This module draws Z_f (Gaussian and elliptical,
+one construction for every κ), samples that law, estimates the resulting
+type-I risks, evaluates the joint eigenvalue density, and provides the
+noncentrality parameters and power curves of the local analysis.
 """
 
 from __future__ import annotations
@@ -21,16 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import (
-    Rng,
-    chi2_quantile,
-    min_kappa,
-    noncentral_chi2_cdf,
-    sample_goe,
-    sample_z_elliptical,
-    _elliptical_vech_factor,
-    _vech_indices,
-)
+from .distributions import Rng, chi2_quantile, min_kappa, noncentral_chi2_cdf
 from .statistics import SampleSummary
 
 __all__ = [
@@ -38,6 +29,7 @@ __all__ = [
     "LocalAlternative",
     "LocalExperiment",
     "RiskEstimate",
+    "sample_z_elliptical",
     "qa_limit_sample",
     "type1_risk_iii",
     "type1_risk_iv",
@@ -118,6 +110,55 @@ class LocalExperiment:
     info: np.ndarray
 
 
+def _check_kappa(p: int, kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa >= min_kappa(p) - 1e-12):
+        raise ValueError(
+            f"kappa must be finite and at least -2/(p+2) = {min_kappa(p):.6f}, got {kappa}"
+        )
+
+
+def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
+    """m independent draws of Z_f as an (m, p, p) stack; see
+    :func:`sample_z_elliptical`.
+
+    With Y = √(1+κ)·(G + Gᵀ)/√2, Var Y_ii = 2(1+κ) and the diagonal shift
+    c·mean(diag Y) adds κ to every Cov(Z_ii, Z_jj), since
+    (2(1+κ)/p)((1+c)² − 1) = κ; Var Z_ij = 1+κ is left as it is.
+    """
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    _check_kappa(p, kappa)
+    G = rng.standard_normal((m, p, p))
+    Z = G + G.swapaxes(1, 2)
+    # At κ = 0 this divides by √2 itself, as the plain GOE does, so the
+    # Gaussian stream keeps its bits.
+    Z /= math.sqrt(2.0 / (1.0 + kappa))
+    # The radicand is ≥ 0 exactly when κ ≥ −2/(p+2); the clamp absorbs
+    # the rounding slack that _check_kappa allows below the floor.
+    c = math.sqrt(max(1.0 + p * kappa / (2.0 * (1.0 + kappa)), 0.0)) - 1.0
+    diag = Z.reshape(m, p * p)[:, :: p + 1]
+    diag += (c / p) * diag.sum(axis=1, keepdims=True)
+    return Z
+
+
+def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
+    """Elliptical limit matrix Z_f, symmetric p×p.
+
+    vec(Z_f) has covariance (1+κ)(I_{p²}+K_p) + κ (vec I_p)(vec I_p)ᵀ:
+    Var Z_ii = 2+3κ, Cov(Z_ii, Z_jj) = κ, Var Z_ij = 1+κ.  One O(p²)
+    construction holds for every κ ≥ −2/(p+2): with G iid standard
+    normal p×p and Y = √(1+κ)·(G + Gᵀ)/√2,
+
+        Z_f = Y + c·mean(diag Y)·I,   c = √(1 + pκ/(2(1+κ))) − 1.
+
+    At κ = 0 the scale is 1 and c = 0, so Z_f is the Gaussian orthogonal
+    ensemble (G + Gᵀ)/√2 bit for bit.  The draw uses the generator
+    exactly as one draw of the block risk estimators does.  Raises
+    ValueError when κ is non-finite or below −2/(p+2).
+    """
+    return _elliptical_block(p, kappa, 1, rng)[0]
+
+
 def qa_limit_sample(p: int, v: float, kappa: float = 0.0, rng: Optional[Rng] = None) -> float:
     """One draw from the limiting null law of the Anderson statistic.
 
@@ -133,31 +174,7 @@ def qa_limit_sample(p: int, v: float, kappa: float = 0.0, rng: Optional[Rng] = N
         raise ValueError("v must be nonnegative")
     if rng is None:
         raise ValueError("an explicit rng is required")
-    Z = sample_z_elliptical(p, kappa, rng)
-    Z[0, 0] += v
-    return float(_top_gap_norm2(Z[None])[0]) / (1.0 + kappa)
-
-
-def _goe_block(p: int, m: int, rng: Rng) -> np.ndarray:
-    G = rng.standard_normal((m, p, p))
-    return (G + np.transpose(G, (0, 2, 1))) / math.sqrt(2.0)
-
-
-def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
-    if kappa == 0.0:
-        return _goe_block(p, m, rng)
-    if kappa > 0.0:
-        Z = math.sqrt(1.0 + kappa) * _goe_block(p, m, rng)
-        g = rng.standard_normal(m)
-        Z += math.sqrt(kappa) * g[:, None, None] * np.eye(p)
-        return Z
-    F = _elliptical_vech_factor(p, kappa)
-    y = rng.standard_normal((m, F.shape[1])) @ F.T
-    Z = np.zeros((m, p, p))
-    for a, (i, j) in enumerate(_vech_indices(p)):
-        Z[:, i, j] = y[:, a]
-        Z[:, j, i] = y[:, a]
-    return Z
+    return float(_qa_limit_block(p, v, kappa, 1, rng)[0])
 
 
 def _top_gap_norm2(Z: np.ndarray) -> np.ndarray:
@@ -194,7 +211,9 @@ def type1_risk_iii(
     contiguity boundary (r_n = 1/√n, spike strength v), with binomial SE.
 
     The optional ``kappa`` switches to the elliptical limit law of the
-    kurtosis-corrected statistic.
+    kurtosis-corrected statistic, drawn through :func:`sample_z_elliptical`'s
+    construction in blocks; it raises ValueError when κ is non-finite or
+    below −2/(p+2).
     """
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -263,10 +282,10 @@ def eigen_limit_sample(
 def joint_eigenvalue_density(ell: np.ndarray, kappa: float = 0.0) -> float:
     """Unnormalized joint density of the limiting eigenvalues (regime iv).
 
-    κ = 0:  exp(−¼ Σℓ²) · Π_{k<j} (ℓ_k − ℓ_j);
-    κ ≠ 0:  the exponent gains the correction
-            −(1/(4(1+κ))) [Σℓ² − (κ/((p+2)κ+2)) (Σℓ)²].
-    Normalizing constants are intentionally omitted.
+    exp(−[Σℓ² − (κ/((p+2)κ+2)) (Σℓ)²] / (4(1+κ))) · Π_{k<j} (ℓ_k − ℓ_j),
+    which at κ = 0 is exp(−¼ Σℓ²) · Π_{k<j} (ℓ_k − ℓ_j) to the last bit.
+    Normalizing constants are intentionally omitted.  Raises ValueError
+    when κ is non-finite or below −2/(p+2).
     """
     ell = np.asarray(ell, dtype=float)
     if ell.ndim != 1 or ell.shape[0] < 1:
@@ -274,17 +293,13 @@ def joint_eigenvalue_density(ell: np.ndarray, kappa: float = 0.0) -> float:
     if np.any(np.diff(ell) > 0):
         raise ValueError("eigenvalues must be sorted in descending order")
     p = ell.shape[0]
-    if kappa < min_kappa(p) - 1e-12:
-        raise ValueError("kappa below the elliptical lower bound -2/(p+2)")
+    _check_kappa(p, kappa)
     vandermonde = 1.0
     for k in range(p - 1):
         vandermonde *= float(np.prod(ell[k] - ell[k + 1 :]))
+    s1 = float(np.sum(ell))
     s2 = float(np.sum(ell**2))
-    if kappa == 0.0:
-        expo = -0.25 * s2
-    else:
-        s1 = float(np.sum(ell))
-        expo = -(s2 - kappa / ((p + 2) * kappa + 2.0) * s1**2) / (4.0 * (1.0 + kappa))
+    expo = -(s2 - kappa / ((p + 2) * kappa + 2.0) * s1**2) / (4.0 * (1.0 + kappa))
     return float(np.exp(expo) * vandermonde)
 
 

@@ -27,10 +27,11 @@ from spikedcov.asymptotics import (
     ncp_oracle_iii,
     ncp_regime12,
     qa_limit_sample,
+    sample_z_elliptical,
     type1_risk_iii,
     type1_risk_iv,
 )
-from spikedcov.distributions import make_rng, sample_z_elliptical
+from spikedcov.distributions import make_rng, min_kappa
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
 from spikedcov.statistics import q_delta, summarize
 
@@ -130,6 +131,11 @@ class TestRiskEstimators:
         with pytest.raises(ValueError):
             type1_risk_iii(2, 0.0, 0.05, 0, make_rng(0))
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, min_kappa(3) - 1e-8])
+    def test_invalid_kappa(self, kappa):
+        with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
+            type1_risk_iii(3, 0.0, 0.05, 100, make_rng(0), kappa=kappa)
+
 
 class TestEigenLimitSample:
     def test_regime_i_first_eigenvalue_variance(self):
@@ -219,6 +225,23 @@ class TestJointDensity:
             l1, l2 = pair
             closed = (l1 - l2) * math.exp(-(l1**2 + l2**2) / 4.0) / (4.0 * math.sqrt(2 * math.pi))
             assert joint_eigenvalue_density(np.array(pair)) / Z == pytest.approx(closed, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "ell", [[1.0, -0.5], [3.0, 2.0, -0.7], [2.5, 0.1, -0.3, -4.2], [0.9, 0.8, 0.7, 0.6, -1.3]]
+    )
+    def test_kappa_zero_is_the_gaussian_exponent_exactly(self, ell):
+        # the general exponent at κ = 0 gives the bits of exp(−¼ Σℓ²)·Π
+        ell = np.array(ell)
+        vandermonde = 1.0
+        for k in range(len(ell) - 1):
+            vandermonde *= float(np.prod(ell[k] - ell[k + 1 :]))
+        gaussian = float(np.exp(-0.25 * float(np.sum(ell**2))) * vandermonde)
+        assert joint_eigenvalue_density(ell, 0.0) == gaussian
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -0.51])
+    def test_invalid_kappa(self, kappa):
+        with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
+            joint_eigenvalue_density(np.array([1.0, -0.5]), kappa)
 
     def test_kappa_density_integrates_to_finite_mass(self):
         Z, err = integrate.dblquad(

@@ -235,6 +235,16 @@ class TestAsymptoticCommand:
         risk = float(result.output.strip().splitlines()[-1].split()[5])
         assert risk < 0.15
 
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-0.41"])
+    def test_invalid_kappa_names_the_floor(self, runner, kappa):
+        # κ = nan or inf used to fail inside the eigensolver with
+        # "Eigenvalues did not converge"
+        result = runner.invoke(
+            main, ["asymptotic", "--regime", "iv", "--p", "3", "--M", "100", "--kappa", kappa]
+        )
+        assert result.exit_code == 1
+        assert "kappa must be finite and at least -2/(p+2) = -0.400000" in result.output
+
 
 class TestPowerCommand:
     def test_table(self, runner):

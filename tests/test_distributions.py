@@ -18,14 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from spikedcov import asymptotics
+from spikedcov.asymptotics import sample_z_elliptical
 from spikedcov.distributions import (
     chi2_cdf,
     chi2_quantile,
     make_rng,
     min_kappa,
     noncentral_chi2_cdf,
-    sample_goe,
-    sample_z_elliptical,
 )
 
 from matrix_helpers import commutation_matrix, vec
@@ -125,13 +125,13 @@ class TestGOESampler:
     def test_symmetry_exact(self):
         rng = make_rng(5)
         for _ in range(10):
-            Z = sample_goe(4, rng)
+            Z = sample_z_elliptical(4, 0.0, rng)
             np.testing.assert_array_equal(Z, Z.T)
 
     def test_second_moments(self):
         rng = make_rng(6)
         M = 200_000
-        draws = np.array([sample_goe(2, rng) for _ in range(M)])
+        draws = np.array([sample_z_elliptical(2, 0.0, rng) for _ in range(M)])
         # Var(Z11) = 2, Var(Z12) = 1, everything mean zero
         assert abs(draws[:, 0, 0].mean()) < 0.02
         assert draws[:, 0, 0].var() == pytest.approx(2.0, abs=0.05)
@@ -144,7 +144,7 @@ class TestGOESampler:
         rng = make_rng(7)
         V = np.empty((M, p * p))
         for i in range(M):
-            V[i] = vec(sample_goe(p, rng))
+            V[i] = vec(sample_z_elliptical(p, 0.0, rng))
         cov = np.cov(V.T)
         target = np.eye(p * p) + commutation_matrix(p)
         assert np.max(np.abs(cov - target)) < 0.06
@@ -154,7 +154,7 @@ def sample_z_v(p, v, rng):
     """Spiked-scaled GOE matrix Λ(v)^{1/2} Z Λ(v)^{1/2}, Λ(v) = diag(1+v, 1, ..., 1)."""
     d = np.ones(p)
     d[0] = math.sqrt(1.0 + v)
-    return sample_goe(p, rng) * np.outer(d, d)
+    return sample_z_elliptical(p, 0.0, rng) * np.outer(d, d)
 
 
 def test_spiked_scaling_sample_z_v():
@@ -170,9 +170,19 @@ def test_spiked_scaling_sample_z_v():
 
 class TestEllipticalSampler:
     def test_kappa_zero_is_plain_goe(self):
-        Z1 = sample_goe(4, make_rng(99))
+        G = make_rng(99).standard_normal((4, 4))
+        Z1 = (G + G.T) / math.sqrt(2.0)
         Z2 = sample_z_elliptical(4, 0.0, make_rng(99))
         np.testing.assert_array_equal(Z1, Z2)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.4, -0.25, min_kappa(3)])
+    def test_block_equals_successive_draws(self, kappa):
+        # the risk estimators' m-draw block uses the generator exactly as m
+        # successive scalar draws do
+        block = asymptotics._elliptical_block(3, kappa, 40, make_rng(12))
+        rng = make_rng(12)
+        one_by_one = np.array([sample_z_elliptical(3, kappa, rng) for _ in range(40)])
+        np.testing.assert_array_equal(block, one_by_one)
 
     def test_positive_kappa_moments(self):
         kappa, M = 0.4, 150_000
@@ -184,18 +194,28 @@ class TestEllipticalSampler:
         assert cross == pytest.approx(kappa, abs=5 * math.sqrt(8.0 / M))
 
     def test_negative_kappa_moments(self):
-        # below the Gaussian: valid down to -2/(p+2)
-        p, kappa, M = 3, -0.25, 150_000
-        assert kappa > min_kappa(p)
-        rng = make_rng(11)
-        d = np.array([sample_z_elliptical(p, kappa, rng) for _ in range(M)])
-        assert d[:, 0, 0].var() == pytest.approx(2.0 + 3.0 * kappa, rel=0.05)
-        cross = np.mean(d[:, 0, 0] * d[:, 1, 1])
-        assert cross == pytest.approx(kappa, abs=5 * math.sqrt(8.0 / M))
+        # below the Gaussian: valid down to -2/(p+2), the floor included
+        M = 150_000
+        for p, kappa, seed in ((3, -0.25, 11), (3, min_kappa(3), 13), (10, -0.15, 14)):
+            assert kappa >= min_kappa(p)
+            rng = make_rng(seed)
+            d = np.array([sample_z_elliptical(p, kappa, rng) for _ in range(M)])
+            assert d[:, 0, 0].var() == pytest.approx(2.0 + 3.0 * kappa, rel=0.05)
+            cross = np.mean(d[:, 0, 0] * d[:, 1, 1])
+            assert cross == pytest.approx(kappa, abs=5 * math.sqrt(8.0 / M))
 
     def test_kappa_below_floor_rejected(self):
         with pytest.raises(ValueError):
             sample_z_elliptical(3, min_kappa(3) - 0.01, make_rng(0))
+
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan, min_kappa(3) - 1e-8])
+    def test_invalid_kappa_rejected_on_both_paths(self, kappa):
+        # non-finite κ used to return NaN/inf matrices, and the block path
+        # accepted κ just below the floor that the scalar path rejected
+        with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
+            sample_z_elliptical(3, kappa, make_rng(0))
+        with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
+            asymptotics._elliptical_block(3, kappa, 8, make_rng(0))
 
     def test_min_kappa_values(self):
         assert min_kappa(2) == pytest.approx(-0.5)
