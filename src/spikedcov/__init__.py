@@ -33,11 +33,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
-    run_highdim,
     run_leave_one_out,
-    run_null_grid,
-    run_power_grid,
-    run_regime3_size,
 )
 from .linalg import (
     DegeneracyError,
@@ -114,11 +110,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "CellRow",
-    "run_null_grid",
-    "run_power_grid",
-    "run_regime3_size",
     "run_leave_one_out",
-    "run_highdim",
     "run_experiment",
     # data
     "Dataset",

@@ -117,6 +117,11 @@ def _check_kappa(p: int, kappa: float) -> None:
         )
 
 
+def _check_v(v: float) -> None:
+    if not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"v must be finite and nonnegative, got {v}")
+
+
 def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
     """m independent draws of Z_f as an (m, p, p) stack; see
     :func:`sample_z_elliptical`.
@@ -170,8 +175,7 @@ def qa_limit_sample(p: int, v: float, kappa: float = 0.0, rng: Optional[Rng] = N
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    if v < 0:
-        raise ValueError("v must be nonnegative")
+    _check_v(v)
     if rng is None:
         raise ValueError("an explicit rng is required")
     return float(_qa_limit_block(p, v, kappa, 1, rng)[0])
@@ -213,10 +217,11 @@ def type1_risk_iii(
     The optional ``kappa`` switches to the elliptical limit law of the
     kurtosis-corrected statistic, drawn through :func:`sample_z_elliptical`'s
     construction in blocks; it raises ValueError when κ is non-finite or
-    below −2/(p+2).
+    below −2/(p+2).  A negative or non-finite v raises ValueError too.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
+    _check_v(v)
     crit = chi2_quantile(1.0 - alpha, p - 1)
     hits = 0
     done = 0
@@ -253,8 +258,7 @@ def eigen_limit_sample(
         raise ValueError(f"regime must be one of {REGIMES}")
     if p < 2:
         raise ValueError("p must be at least 2")
-    if v < 0:
-        raise ValueError("v must be nonnegative")
+    _check_v(v)
     if rng is None:
         raise ValueError("an explicit rng is required")
     Zf = sample_z_elliptical(p, kappa, rng)

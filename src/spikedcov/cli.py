@@ -27,14 +27,14 @@ from .asymptotics import (
 )
 from .data import ParseError, banknote_fixture_path, load_csv
 from .distributions import make_rng
-from .harness import ExperimentConfig, run_experiment, run_leave_one_out
+from .harness import EXPERIMENTS, ExperimentConfig, run_experiment, run_leave_one_out
 from .linalg import DegeneracyError
 from .model import RadialFamily
 from .statistics import (
     anderson_statistic,
     decide,
     hpv_statistic,
-    kurtosis_estimate,
+    kurtosis_from_summary,
     pseudo_gaussian,
     summarize,
     summary_from_covariance,
@@ -100,7 +100,7 @@ def cmd_test(data: Path, theta0: str, j: int, alpha: float, pseudo: bool):
         raise _fail(str(exc))
     click.echo(f"n={ds.n} p={ds.p} j={j} alpha={alpha:g}")
     if pseudo:
-        kappa_hat = kurtosis_estimate(ds.values)
+        kappa_hat = kurtosis_from_summary(s, ds.values)
         click.echo(f"kappa_hat={kappa_hat:.8g}")
         try:
             rows.append(("anderson_pseudo", decide(pseudo_gaussian(qa, kappa_hat), ds.p - 1, alpha)))
@@ -172,7 +172,7 @@ def _read_config_file(path: Path) -> dict:
 @click.option(
     "--experiment",
     required=True,
-    type=click.Choice(["null", "power", "regime3", "highdim"]),
+    type=click.Choice(EXPERIMENTS),
 )
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE", help="Override a config key.")

@@ -21,7 +21,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +44,15 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "CellRow",
-    "run_null_grid",
-    "run_power_grid",
-    "run_regime3_size",
     "run_leave_one_out",
-    "run_highdim",
     "run_experiment",
 ]
 
 logger = logging.getLogger(__name__)
 
-EXPERIMENTS = ("null", "power", "regime3", "highdim")
+# Experiment kind -> the config field that holds its grid.
+GRIDS = {"null": "ells", "power": "ks", "regime3": "vgrid", "highdim": "cgrid"}
+EXPERIMENTS = tuple(GRIDS)
 
 FULL_SCALE_N = 500_000
 
@@ -63,10 +61,9 @@ FULL_SCALE_N = 500_000
 class ExperimentConfig:
     """Description of one Monte Carlo grid.
 
-    Only the fields relevant to ``experiment`` are consulted: the spike
-    exponent grid ``ells`` and ``families`` drive the null grid, ``ks``
-    the power grid, ``vgrid`` the boundary-size curve, ``cgrid`` the
-    high-dimensional table.
+    Only the fields relevant to ``experiment`` are consulted: the grid
+    field that ``GRIDS`` names (the null grid crosses ``ells`` with
+    ``families``) and the shared fields.
     """
 
     experiment: str
@@ -100,13 +97,7 @@ class ExperimentConfig:
                 raise ValueError("alpha levels must lie strictly in (0, 1)")
         if not self.alphas:
             raise ValueError("alpha grid must be non-empty")
-        grid = {
-            "null": self.ells if self.families else (),
-            "power": self.ks,
-            "regime3": self.vgrid,
-            "highdim": self.cgrid,
-        }[self.experiment]
-        if len(grid) == 0:
+        if not _cells_for(self):
             raise ValueError("experiment grid must be non-empty")
 
     @property
@@ -175,14 +166,8 @@ class ExperimentResult:
             f"seed: {c.seed}",
             f"workers: {c.workers}",
         ]
-        if c.experiment == "null":
-            lines.append(f"ells: {','.join(str(e) for e in c.ells)}")
-        elif c.experiment == "power":
-            lines.append(f"ks: {','.join(str(k) for k in c.ks)}")
-        elif c.experiment == "regime3":
-            lines.append(f"vgrid: {','.join(_fmt(x) for x in c.vgrid)}")
-        elif c.experiment == "highdim":
-            lines.append(f"cgrid: {','.join(_fmt(x) for x in c.cgrid)}")
+        grid = GRIDS[c.experiment]
+        lines.append(f"{grid}: {','.join(_fmt(x) for x in getattr(c, grid))}")
         if self.degenerate:
             lines.append("degenerate replicates:")
             for label, count in self.degenerate:
@@ -275,69 +260,68 @@ def _e1(p: int) -> np.ndarray:
     return theta
 
 
-def _replicate_stats(config: ExperimentConfig, cell: dict, rng) -> dict[str, float]:
+def _draw(config: ExperimentConfig, cell: dict, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate's data matrix X and null direction θ⁰, drawn from ``rng``.
+
+    Null, power and spiked regime3 cells draw through ``sample``; a
+    regime3 cell with v = 0 and every highdim cell draw Gaussian data
+    inline.
+    """
+    if config.experiment == "highdim":
+        # Σ = I_p + θ₀θ₀ᵀ, fixed unit spike, p scales with n.
+        pc = _highdim_p(config, cell["c"])
+        n = config.n
+        if pc >= n:
+            # The sample covariance has rank at most n − 1 < p: neither
+            # statistic is defined, so the replicate is degenerate by design.
+            raise DegeneracyError(f"p = {pc} >= n = {n}: sample covariance is singular")
+        theta0 = _e1(pc)
+        G = rng.standard_normal((n, pc))
+        return G + np.outer(G[:, 0], (math.sqrt(2.0) - 1.0) * theta0), theta0
+    theta0 = _e1(config.p)
     if config.experiment == "null":
-        n = config.effective_n
-        family = cell["family"]
-        theta = _e1(config.p)
         model = SpikedModel(
-            p=config.p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(cell["ell"]), theta1=theta
+            p=config.p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(cell["ell"]), theta1=theta0
         )
-        X = sample(model, n, family, rng)
-        s = summarize(X)
-        out = {
-            "anderson": anderson_statistic(s, theta, 1),
-            "hpv": hpv_statistic(s, theta, 1),
-        }
-        if config.pseudo or family.kind != "gaussian":
-            kappa_hat = kurtosis_from_summary(s, X)
-            out["anderson_pseudo"] = pseudo_gaussian(out["anderson"], kappa_hat)
-            out["hpv_pseudo"] = pseudo_gaussian(out["hpv"], kappa_hat)
-        return out
+        return sample(model, config.effective_n, cell["family"], rng), theta0
+    # Power and regime3 cells sit on the boundary r_n = n^(−1/2), with
+    # Gaussian data.
     if config.experiment == "power":
         angle = cell["k"] * math.pi / 40.0
-        theta0 = _e1(config.p)
         theta1 = np.zeros(config.p)
-        theta1[0] = math.cos(angle)
-        theta1[1] = math.sin(angle)
-        model = SpikedModel(
-            p=config.p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(3), theta1=theta1
-        )
-        X = sample(model, config.n, RadialFamily.gaussian(), rng)
-        s = summarize(X)
-        r_n = config.n ** (-0.5)
-        sigma_null = np.eye(config.p) + r_n * config.v * np.outer(theta0, theta0)
-        return {
-            "hpv": hpv_statistic(s, theta0, 1),
-            "oracle": oracle_statistic(s, theta0, sigma_null),
-        }
-    if config.experiment == "regime3":
-        v = cell["v"]
-        theta = _e1(config.p)
+        theta1[:2] = math.cos(angle), math.sin(angle)
+        v = config.v
+    else:
+        theta1, v = theta0, cell["v"]
         if v == 0.0:
-            X = rng.standard_normal((config.n, config.p))
-        else:
-            model = SpikedModel(
-                p=config.p, sigma=1.0, v=v, rate=SpikeRate.exponent(3), theta1=theta
-            )
-            X = sample(model, config.n, RadialFamily.gaussian(), rng)
-        s = summarize(X)
-        return {"anderson": anderson_statistic(s, theta, 1)}
-    # highdim: Σ = I_p + θ₀θ₀ᵀ, fixed unit spike, p scales with n.
-    pc = _highdim_p(config, cell["c"])
-    n = config.n
-    if pc >= n:
-        # The sample covariance has rank at most n − 1 < p: neither
-        # statistic is defined, so the replicate is degenerate by design.
-        raise DegeneracyError(f"p = {pc} >= n = {n}: sample covariance is singular")
-    theta = _e1(pc)
-    G = rng.standard_normal((n, pc))
-    X = G + np.outer(G[:, 0], (math.sqrt(2.0) - 1.0) * theta)
+            return rng.standard_normal((config.n, config.p)), theta0
+    model = SpikedModel(p=config.p, sigma=1.0, v=v, rate=SpikeRate.exponent(3), theta1=theta1)
+    return sample(model, config.n, RadialFamily.gaussian(), rng), theta0
+
+
+def _replicate_stats(
+    config: ExperimentConfig, cell: dict, rng, tests: list[tuple[str, int]]
+) -> dict[str, float]:
+    """The statistics ``tests`` lists (see ``_tests_for_cell``), on one
+    replicate drawn from ``rng``.  A ``*_pseudo`` test follows the test
+    it corrects, and κ̂ is computed once, only when one is listed."""
+    X, theta0 = _draw(config, cell, rng)
     s = summarize(X)
-    return {
-        "anderson": anderson_statistic(s, theta, 1),
-        "hpv": hpv_statistic(s, theta, 1),
-    }
+    out = {}
+    kappa_hat = None
+    for name, _ in tests:
+        if name == "anderson":
+            out[name] = anderson_statistic(s, theta0, 1)
+        elif name == "hpv":
+            out[name] = hpv_statistic(s, theta0, 1)
+        elif name == "oracle":
+            sigma_null = np.eye(config.p) + config.n ** (-0.5) * config.v * np.outer(theta0, theta0)
+            out[name] = oracle_statistic(s, theta0, sigma_null)
+        else:
+            if kappa_hat is None:
+                kappa_hat = kurtosis_from_summary(s, X)
+            out[name] = pseudo_gaussian(out[name.removesuffix("_pseudo")], kappa_hat)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +341,7 @@ def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
     for rep in range(lo, hi):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
         try:
-            stats = _replicate_stats(config, cell, rng)
+            stats = _replicate_stats(config, cell, rng, tests)
             # ``nan > crit`` is False: a non-finite or negative statistic
             # must never pass as a non-rejection.
             values = np.array([_nonnegative(stats[name]) for name, _ in tests])
@@ -527,31 +511,6 @@ def _freq_rows(config: ExperimentConfig, cells, results) -> tuple[list[CellRow],
     return rows, degenerate
 
 
-def _run_grid(config: ExperimentConfig, experiment: str, extra_rows=None) -> ExperimentResult:
-    """Run ``config`` as an ``experiment`` grid.  ``extra_rows(config,
-    cells)`` returns the rows that follow the Monte Carlo frequencies."""
-    if config.experiment != experiment:
-        config = replace(config, experiment=experiment)
-    start = time.perf_counter()
-    cells, results, capped = _run_cells(config)
-    rows, degenerate = _freq_rows(config, cells, results)
-    if extra_rows is not None:
-        rows += extra_rows(config, cells)
-    return ExperimentResult(
-        config=config,
-        rows=tuple(rows),
-        degenerate=tuple(degenerate),
-        wall_time=time.perf_counter() - start,
-        blas_capped=capped,
-    )
-
-
-def run_null_grid(config: ExperimentConfig) -> ExperimentResult:
-    """Rejection frequencies of both tests (plus pseudo-Gaussian versions
-    for elliptical families) under the null across the spike-rate grid."""
-    return _run_grid(config, "null")
-
-
 def _power_prediction_rows(config: ExperimentConfig, cells) -> list[CellRow]:
     from .asymptotics import asymptotic_power, ncp_hpv_iii, ncp_oracle_iii
 
@@ -579,14 +538,6 @@ def _power_prediction_rows(config: ExperimentConfig, cells) -> list[CellRow]:
     return rows
 
 
-def run_power_grid(config: ExperimentConfig) -> ExperimentResult:
-    """Empirical power of the Gram-Schmidt and oracle tests against local
-    alternatives on the contiguity boundary, with the corresponding
-    noncentral-chi-square predictions emitted side by side (rows
-    ``hpv_asymptotic``/``oracle_asymptotic``, SE 0, M 0)."""
-    return _run_grid(config, "power", _power_prediction_rows)
-
-
 def _limit_law_rows(config: ExperimentConfig, cells) -> list[CellRow]:
     rows = []
     for ci, cell in enumerate(cells):
@@ -609,30 +560,39 @@ def _limit_law_rows(config: ExperimentConfig, cells) -> list[CellRow]:
     return rows
 
 
-def run_regime3_size(config: ExperimentConfig) -> ExperimentResult:
-    """Anderson rejection frequency along a spike-strength grid on the
-    contiguity boundary, with the limit-law risk estimate
-    (rows ``anderson_limit``) for comparison."""
-    return _run_grid(config, "regime3", _limit_law_rows)
-
-
-def run_highdim(config: ExperimentConfig) -> ExperimentResult:
-    """Null rejection frequencies when the dimension grows with n
-    (p = c·n).  Once p ≥ n the sample covariance is singular: the
-    Anderson row is dropped and every replicate of the cell is counted as
-    degenerate, so its ``hpv`` row has ``M = 0`` and ``freq = nan``."""
-    return _run_grid(config, "highdim")
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch on ``config.experiment``."""
-    runner = {
-        "null": run_null_grid,
-        "power": run_power_grid,
-        "regime3": run_regime3_size,
-        "highdim": run_highdim,
-    }[config.experiment]
-    return runner(config)
+    """Run the grid ``config.experiment`` names, one cell per grid value.
+
+    Every grid emits one rejection-frequency row per cell, test and level:
+
+    * ``null`` (``ells`` × ``families``): ``anderson`` and ``hpv``, plus
+      ``anderson_pseudo`` and ``hpv_pseudo`` for a non-Gaussian family or
+      ``pseudo=True``.
+    * ``power`` (``ks``): ``hpv`` and ``oracle`` against the boundary
+      alternative θ₁(k) = (cos(kπ/40), sin(kπ/40), 0, …), followed by the
+      noncentral-χ² predictions ``hpv_asymptotic`` and
+      ``oracle_asymptotic`` (SE 0, M 0).
+    * ``regime3`` (``vgrid``): ``anderson`` on the boundary, followed by
+      the limit-law risk estimate ``anderson_limit`` (M = ``limit_M``).
+    * ``highdim`` (``cgrid``, p = c·n): ``hpv``, and ``anderson`` while
+      p < n.  Once p ≥ n the sample covariance is singular, every
+      replicate of the cell is degenerate, and its ``hpv`` row has
+      ``M = 0`` and ``freq = nan``.
+    """
+    start = time.perf_counter()
+    cells, results, capped = _run_cells(config)
+    rows, degenerate = _freq_rows(config, cells, results)
+    if config.experiment == "power":
+        rows += _power_prediction_rows(config, cells)
+    elif config.experiment == "regime3":
+        rows += _limit_law_rows(config, cells)
+    return ExperimentResult(
+        config=config,
+        rows=tuple(rows),
+        degenerate=tuple(degenerate),
+        wall_time=time.perf_counter() - start,
+        blas_capped=capped,
+    )
 
 
 def run_leave_one_out(X: np.ndarray, theta0: np.ndarray, j: int = 1) -> list[tuple[float, float]]:

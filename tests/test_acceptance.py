@@ -18,18 +18,15 @@ import pytest
 from scipy import stats as scipy_stats
 
 from spikedcov.asymptotics import (
+    _BLOCK,
+    _qa_limit_block,
     asymptotic_power,
     qa_limit_sample,
     sample_z_elliptical,
     type1_risk_iv,
 )
 from spikedcov.distributions import chi2_cdf, chi2_quantile, make_rng
-from spikedcov.harness import (
-    ExperimentConfig,
-    run_highdim,
-    run_null_grid,
-    run_power_grid,
-)
+from spikedcov.harness import ExperimentConfig, run_experiment
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
 from spikedcov.statistics import (
     anderson_statistic,
@@ -72,7 +69,7 @@ def test_criterion_01_null_size_across_spike_rates():
         workers=1,
     )
     t0 = time.perf_counter()
-    res = run_null_grid(cfg)
+    res = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     freqs = {
         int(dict(r.cell)["ell"]): r.freq for r in res.rows if r.test == "hpv"
@@ -145,8 +142,11 @@ def test_criterion_04_p3_limit_mean():
     rng = make_rng(SEED + 4)
     total = 0.0
     M = 400_000
-    for _ in range(M):
-        total += qa_limit_sample(3, 0.0, rng=rng)
+    # Blocks draw the same values as successive qa_limit_sample calls;
+    # adding them one at a time, in order, keeps the mean bit for bit.
+    for lo in range(0, M, _BLOCK):
+        for draw in _qa_limit_block(3, 0.0, 0.0, min(_BLOCK, M - lo), rng).tolist():
+            total += draw
     mean = total / M
     ok = abs(mean - 49.0 / 6.0) <= 0.1
     line = report(
@@ -215,7 +215,7 @@ def test_criterion_06_power_curve_matches_prediction():
         seed=SEED,
         workers=4,
     )
-    res = run_power_grid(cfg)
+    res = run_experiment(cfg)
     emp = {int(dict(r.cell)["k"]): r.freq for r in res.rows if r.test == "hpv"}
     pred = {int(dict(r.cell)["k"]): r.freq for r in res.rows if r.test == "hpv_asymptotic"}
     tol = {0: 0.01, 20: 0.015}
@@ -246,7 +246,7 @@ def test_criterion_07_heavy_tails_pseudo_correction():
         seed=SEED,
         workers=4,
     )
-    res = run_null_grid(cfg)
+    res = run_experiment(cfg)
     hpv = {int(dict(r.cell)["ell"]): r.freq for r in res.rows if r.test == "hpv_pseudo"}
     and5 = [r.freq for r in res.rows if r.test == "anderson_pseudo" and dict(r.cell)["ell"] == "5"][0]
     ok_hpv = all(0.035 <= f <= 0.065 for f in hpv.values())
@@ -298,7 +298,7 @@ def test_criterion_09_growing_dimension():
         seed=SEED,
         workers=4,
     )
-    res = run_highdim(cfg)
+    res = run_experiment(cfg)
     hpv = {dict(r.cell)["c"]: r for r in res.rows if r.test == "hpv"}
     degenerate = dict(res.degenerate)
     ok_half = abs(hpv["0.5"].freq - 0.9255) <= 0.03 and hpv["0.5"].M == 2_000
@@ -390,8 +390,8 @@ def test_criterion_10_numerical_invariants():
     base_cfg = dict(
         experiment="null", p=3, n=60, M=90, ells=(0, 3), alphas=(0.05,), seed=SEED
     )
-    csv1 = run_null_grid(ExperimentConfig(workers=1, **base_cfg)).to_csv()
-    csv3 = run_null_grid(ExperimentConfig(workers=3, **base_cfg)).to_csv()
+    csv1 = run_experiment(ExperimentConfig(workers=1, **base_cfg)).to_csv()
+    csv3 = run_experiment(ExperimentConfig(workers=3, **base_cfg)).to_csv()
     ok_csv = csv1 == csv3
 
     ok = ok_dual and ok_inv and ok_samplers and ok_rt and ok_csv

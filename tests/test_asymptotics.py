@@ -136,6 +136,22 @@ class TestRiskEstimators:
         with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
             type1_risk_iii(3, 0.0, 0.05, 100, make_rng(0), kappa=kappa)
 
+    # v = inf used to give risk 0 with se 0 (every draw nan, and nan > crit
+    # is False); v = nan used to fail in the eigensolver.
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda v: type1_risk_iii(3, v, 0.05, 100, make_rng(0)),
+            lambda v: qa_limit_sample(3, v, rng=make_rng(0)),
+            lambda v: eigen_limit_sample(3, v, "iii", rng=make_rng(0)),
+        ],
+        ids=["type1_risk_iii", "qa_limit_sample", "eigen_limit_sample"],
+    )
+    def test_invalid_v(self, draw, v):
+        with pytest.raises(ValueError, match="v must be finite and nonnegative"):
+            draw(v)
+
 
 class TestEigenLimitSample:
     def test_regime_i_first_eigenvalue_variance(self):

@@ -72,6 +72,22 @@ class TestTestCommand:
         assert "kappa_hat=" in result.output
         assert "anderson_pseudo" in result.output
 
+    def test_pseudo_flag_decomposes_s_once(self, runner, tmp_path, monkeypatch):
+        from spikedcov import statistics
+
+        calls = []
+        sym_eigen = statistics.sym_eigen
+
+        def counting(S):
+            calls.append(S.shape)
+            return sym_eigen(S)
+
+        monkeypatch.setattr(statistics, "sym_eigen", counting)
+        f = write_dataset(tmp_path / "d.csv", spiked_data())
+        result = runner.invoke(main, ["test", str(f), "--theta0", "1,0,0", "--pseudo"])
+        assert result.exit_code == 0, result.output
+        assert calls == [(3, 3)]
+
     def test_malformed_csv_names_line(self, runner, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("a,b\n1,2\n3\n")
@@ -244,6 +260,16 @@ class TestAsymptoticCommand:
         )
         assert result.exit_code == 1
         assert "kappa must be finite and at least -2/(p+2) = -0.400000" in result.output
+
+    @pytest.mark.parametrize("v", ["nan", "inf"])
+    def test_invalid_v_rejected(self, runner, v):
+        # v = nan used to fail with "Eigenvalues did not converge", and
+        # v = inf to print risk 0 with se 0
+        result = runner.invoke(
+            main, ["asymptotic", "--regime", "iii", "--p", "3", "--M", "100", "--v", v]
+        )
+        assert result.exit_code == 1
+        assert f"v must be finite and nonnegative, got {v}" in result.output
 
 
 class TestPowerCommand:

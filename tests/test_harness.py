@@ -4,6 +4,7 @@ import builtins
 import ctypes
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,7 @@ from spikedcov import harness
 from spikedcov.harness import (
     ExperimentConfig,
     run_experiment,
-    run_highdim,
     run_leave_one_out,
-    run_null_grid,
-    run_power_grid,
-    run_regime3_size,
     _tau_norm,
 )
 from spikedcov.model import RadialFamily
@@ -110,9 +107,9 @@ class TestPoolWorkers:
         cfg = tiny_null_config(
             M=30, families=(RadialFamily.student_t(6),), ells=(0, 3), pseudo=True
         )
-        one = run_null_grid(cfg).to_csv()
+        one = run_experiment(cfg).to_csv()
         assert "hpv_pseudo" in one
-        assert run_null_grid(replace(cfg, workers=2)).to_csv() == one
+        assert run_experiment(replace(cfg, workers=2)).to_csv() == one
 
     def test_one_process_grid_runs_one_blas_thread_and_restores(
         self, monkeypatch, two_blas_threads
@@ -159,9 +156,9 @@ class TestPoolWorkers:
 
     def test_one_process_grid_without_maps_gives_same_csv(self, monkeypatch):
         cfg = tiny_null_config(workers=1)
-        expected = run_null_grid(cfg).to_csv()
+        expected = run_experiment(cfg).to_csv()
         no_proc_maps(monkeypatch)
-        result = run_null_grid(cfg)
+        result = run_experiment(cfg)
         monkeypatch.undo()
         assert result.to_csv() == expected
         assert result.blas_capped == 0
@@ -210,8 +207,8 @@ class TestConfig:
 class TestNullGrid:
     def test_structure_and_determinism(self):
         cfg = tiny_null_config()
-        res1 = run_null_grid(cfg)
-        res2 = run_null_grid(cfg)
+        res1 = run_experiment(cfg)
+        res2 = run_experiment(cfg)
         csv1, csv2 = res1.to_csv(), res2.to_csv()
         assert csv1 == csv2  # byte-identical rerun
         lines = csv1.strip().split("\n")
@@ -230,24 +227,24 @@ class TestNullGrid:
     def test_worker_count_does_not_change_output(self):
         cfg1 = tiny_null_config(M=60)
         cfg3 = tiny_null_config(M=60, workers=3)
-        assert run_null_grid(cfg1).to_csv() == run_null_grid(cfg3).to_csv()
+        assert run_experiment(cfg1).to_csv() == run_experiment(cfg3).to_csv()
 
     def test_seed_changes_output(self):
-        a = run_null_grid(tiny_null_config()).to_csv()
-        b = run_null_grid(tiny_null_config(seed=7)).to_csv()
+        a = run_experiment(tiny_null_config()).to_csv()
+        b = run_experiment(tiny_null_config(seed=7)).to_csv()
         assert a != b
 
     def test_pseudo_rows_for_student_family(self):
         cfg = tiny_null_config(
             M=20, families=(RadialFamily.student_t(6),), ells=(0,), alphas=(0.1,)
         )
-        res = run_null_grid(cfg)
+        res = run_experiment(cfg)
         tests = {r.test for r in res.rows}
         assert tests == {"anderson", "hpv", "anderson_pseudo", "hpv_pseudo"}
         assert all(dict(r.cell)["family"] == "t6" for r in res.rows)
 
     def test_text_echo(self):
-        res = run_null_grid(tiny_null_config())
+        res = run_experiment(tiny_null_config())
         text = res.to_text()
         assert "seed: 424242" in text
         assert "ells: 0,5" in text
@@ -266,7 +263,7 @@ class TestPowerGrid:
         cfg = ExperimentConfig(
             experiment="power", p=2, n=400, M=50, ks=(0, 20), alphas=(0.05,), seed=99
         )
-        res = run_power_grid(cfg)
+        res = run_experiment(cfg)
         named = {}
         for r in res.rows:
             named.setdefault(r.test, []).append(r)
@@ -293,7 +290,7 @@ class TestRegime3:
             limit_M=4000,
             seed=5,
         )
-        res = run_regime3_size(cfg)
+        res = run_experiment(cfg)
         tests = {r.test for r in res.rows}
         assert tests == {"anderson", "anderson_limit"}
         limit_rows = [r for r in res.rows if r.test == "anderson_limit"]
@@ -309,7 +306,7 @@ class TestHighDim:
         cfg = ExperimentConfig(
             experiment="highdim", n=40, M=25, cgrid=(0.5, 1.5), alphas=(0.05,), seed=31
         )
-        res = run_highdim(cfg)
+        res = run_experiment(cfg)
         cells = {}
         for r in res.rows:
             cells.setdefault(dict(r.cell)["c"], set()).add(r.test)
@@ -331,7 +328,7 @@ class TestHighDim:
         cfg = ExperimentConfig(
             experiment="highdim", n=60, M=30, cgrid=(0.9,), alphas=(0.5,), seed=8
         )
-        res = run_highdim(cfg)
+        res = run_experiment(cfg)
         hpv = [r for r in res.rows if r.test == "hpv"][0]
         assert 0.0 < hpv.freq < 1.0
         assert hpv.M == 30 and res.degenerate == ()
@@ -339,14 +336,14 @@ class TestHighDim:
     def test_non_finite_statistic_counted_as_degenerate(self, monkeypatch):
         calls = iter([float("nan"), math.inf, 1e9, 0.0])
 
-        def fake_stats(config, cell, rng):
+        def fake_stats(config, cell, rng, tests):
             return {"anderson": 0.0, "hpv": next(calls)}
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
         cfg = ExperimentConfig(
             experiment="highdim", n=60, M=4, cgrid=(0.5,), alphas=(0.05,), seed=8
         )
-        res = run_highdim(cfg)
+        res = run_experiment(cfg)
         assert dict(res.degenerate) == {"c=0.5": 2}
         hpv = [r for r in res.rows if r.test == "hpv"][0]
         assert hpv.M == 2 and hpv.freq == 0.5
@@ -355,24 +352,122 @@ class TestHighDim:
         # -5 and -1e-6 are not rounding; -1e-15 is, and counts as 0
         calls = iter([-5.0, -1e-6, -1e-15, 1e9, 0.0])
 
-        def fake_stats(config, cell, rng):
+        def fake_stats(config, cell, rng, tests):
             return {"anderson": 0.0, "hpv": next(calls)}
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
         cfg = ExperimentConfig(
             experiment="highdim", n=60, M=5, cgrid=(0.5,), alphas=(0.05,), seed=8
         )
-        res = run_highdim(cfg)
+        res = run_experiment(cfg)
         assert dict(res.degenerate) == {"c=0.5": 2}
         hpv = [r for r in res.rows if r.test == "hpv"][0]
         assert hpv.M == 3 and hpv.freq == pytest.approx(1 / 3)
 
 
+# One small grid per experiment kind.  The null grid holds a Student-t
+# family, so it reports the pseudo-Gaussian tests too; the highdim grid
+# holds a cell with p >= n.
+KIND_CONFIGS = {
+    "null": ExperimentConfig(
+        experiment="null", p=3, n=60, M=10, ells=(0, 5),
+        families=(RadialFamily.gaussian(), RadialFamily.student_t(6)), alphas=(0.2,), seed=424242,
+    ),
+    "power": ExperimentConfig(
+        experiment="power", p=3, n=400, M=20, ks=(0, 10), alphas=(0.2,), seed=99
+    ),
+    "regime3": ExperimentConfig(
+        experiment="regime3", p=2, n=150, M=10, vgrid=(0.0, 4.0), alphas=(0.05,),
+        limit_M=200, seed=5,
+    ),
+    "highdim": ExperimentConfig(
+        experiment="highdim", n=40, M=10, cgrid=(0.5, 1.5), alphas=(0.05,), seed=31
+    ),
+}
+
+
 def test_run_experiment_dispatch():
-    cfg = tiny_null_config(M=10, ells=(0,), alphas=(0.05,))
-    assert run_experiment(cfg).to_csv() == run_null_grid(cfg).to_csv()
-    pcfg = ExperimentConfig(experiment="power", p=2, n=200, M=10, ks=(0,), seed=1)
-    assert {r.test for r in run_experiment(pcfg).rows} >= {"hpv", "oracle"}
+    # Each kind reports the tests of the "tests reported" column of
+    # README's Monte Carlo table, where `*_pseudo` stands for both
+    # pseudo-Gaussian tests.
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    expected = {
+        "null": {"anderson", "hpv", "anderson_pseudo", "hpv_pseudo"},
+        "power": {"hpv", "oracle", "hpv_asymptotic", "oracle_asymptotic"},
+        "regime3": {"anderson", "anderson_limit"},
+        "highdim": {"anderson", "hpv"},
+    }
+    assert set(expected) == set(harness.EXPERIMENTS)
+    for kind, names in expected.items():
+        (row,) = [line for line in readme if line.startswith(f"| `{kind}`")]
+        reported = row.split("|")[3]
+        for name in names:
+            assert f"`{name}`" in reported or (
+                name.endswith("_pseudo") and "`*_pseudo`" in reported
+            ), (kind, name)
+        assert {r.test for r in run_experiment(KIND_CONFIGS[kind]).rows} == names
+
+
+# The CSV each grid of KIND_CONFIGS writes, and its to_text() grid line.
+# A change to a random stream or a statistic changes these bytes; it must
+# say so and update them.
+PINNED = {
+    "null": (
+        "ells: 0,5",
+        """experiment,family,ell,test,alpha,freq,se,M,seed
+null,gaussian,0,anderson,0.2,0.1,0.09486832981,10,424242
+null,gaussian,0,hpv,0.2,0.1,0.09486832981,10,424242
+null,gaussian,5,anderson,0.2,0.7,0.1449137675,10,424242
+null,gaussian,5,hpv,0.2,0.2,0.1264911064,10,424242
+null,t6,0,anderson,0.2,0.5,0.158113883,10,424242
+null,t6,0,hpv,0.2,0.5,0.158113883,10,424242
+null,t6,0,anderson_pseudo,0.2,0.3,0.1449137675,10,424242
+null,t6,0,hpv_pseudo,0.2,0.2,0.1264911064,10,424242
+null,t6,5,anderson,0.2,0.7,0.1449137675,10,424242
+null,t6,5,hpv,0.2,0.2,0.1264911064,10,424242
+null,t6,5,anderson_pseudo,0.2,0.6,0.1549193338,10,424242
+null,t6,5,hpv_pseudo,0.2,0.2,0.1264911064,10,424242
+""",
+    ),
+    "power": (
+        "ks: 0,10",
+        """experiment,k,tau_norm,test,alpha,freq,se,M,seed
+power,0,0,hpv,0.2,0.3,0.1024695077,20,99
+power,0,0,oracle,0.2,0.4,0.1095445115,20,99
+power,10,0.7653668647,hpv,0.2,0.3,0.1024695077,20,99
+power,10,0.7653668647,oracle,0.2,0.25,0.09682458366,20,99
+power,0,0,hpv_asymptotic,0.2,0.2,0,0,99
+power,0,0,oracle_asymptotic,0.2,0.2,0,0,99
+power,10,0.7653668647,hpv_asymptotic,0.2,0.2397271803,0,0,99
+power,10,0.7653668647,oracle_asymptotic,0.2,0.2485727597,0,0,99
+""",
+    ),
+    "regime3": (
+        "vgrid: 0,4",
+        """experiment,v,test,alpha,freq,se,M,seed
+regime3,0,anderson,0.05,0.4,0.1549193338,10,5
+regime3,4,anderson,0.05,0.1,0.09486832981,10,5
+regime3,0,anderson_limit,0.05,0.34,0.03349626845,200,5
+regime3,4,anderson_limit,0.05,0.1,0.02121320344,200,5
+""",
+    ),
+    "highdim": (
+        "cgrid: 0.5,1.5",
+        """experiment,c,p,test,alpha,freq,se,M,seed
+highdim,0.5,20,anderson,0.05,1,0,10,31
+highdim,0.5,20,hpv,0.05,0.9,0.09486832981,10,31
+highdim,1.5,60,hpv,0.05,nan,nan,0,31
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_csv_bytes_and_grid_line(kind):
+    grid_line, csv = PINNED[kind]
+    result = run_experiment(KIND_CONFIGS[kind])
+    assert result.to_csv() == csv
+    assert grid_line in result.to_text().splitlines()
 
 
 def test_run_leave_one_out():
