@@ -12,7 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import math
-from dataclasses import fields as dataclass_fields
+import typing
 from pathlib import Path
 
 import click
@@ -31,6 +31,8 @@ from .harness import EXPERIMENTS, ExperimentConfig, run_experiment, run_leave_on
 from .linalg import DegeneracyError
 from .model import RadialFamily
 from .statistics import (
+    SampleSummary,
+    TestOutcome,
     anderson_statistic,
     decide,
     hpv_statistic,
@@ -40,8 +42,6 @@ from .statistics import (
     summary_from_covariance,
 )
 
-DEFAULT_SEED = 20260815
-
 
 @click.group()
 @click.version_option(version=__version__, prog_name="spikedcov")
@@ -49,24 +49,42 @@ def main():
     """Tests for principal component directions under weak identifiability."""
 
 
-def _fail(message: str) -> "click.ClickException":
-    return click.ClickException(message)
-
-
 def _parse_theta0(text: str, p: int) -> np.ndarray:
     try:
         theta = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError:
-        raise _fail(f"--theta0 must be comma-separated numbers, got {text!r}")
+        raise click.ClickException(f"--theta0 must be comma-separated numbers, got {text!r}")
     if theta.shape[0] != p:
-        raise _fail(f"--theta0 has {theta.shape[0]} entries but the data has p={p} columns")
+        raise click.ClickException(
+            f"--theta0 has {theta.shape[0]} entries but the data has p={p} columns"
+        )
     norm = float(np.linalg.norm(theta))
     if abs(norm - 1.0) > 1e-6:
-        raise _fail(f"--theta0 must be a unit vector (norm {norm:.6g} is off by more than 1e-6)")
+        raise click.ClickException(
+            f"--theta0 must be a unit vector (norm {norm:.6g} is off by more than 1e-6)"
+        )
     return theta / norm
 
 
-def _print_outcome_table(rows: list[tuple[str, object]]):
+def _test_rows(
+    s: SampleSummary, theta: np.ndarray, j: int, alpha: float, kappa_hat: float | None = None
+) -> list[tuple[str, TestOutcome]]:
+    """Q_A and Q_H of H0: θ_j = theta decided at level alpha, followed by
+    their pseudo-Gaussian versions when ``kappa_hat`` is given."""
+    try:
+        stats = {"anderson": anderson_statistic(s, theta, j), "hpv": hpv_statistic(s, theta, j)}
+        rows = [(name, decide(q, s.p - 1, alpha)) for name, q in stats.items()]
+        if kappa_hat is not None:
+            rows += [
+                (f"{name}_pseudo", decide(pseudo_gaussian(q, kappa_hat), s.p - 1, alpha))
+                for name, q in stats.items()
+            ]
+    except (DegeneracyError, ValueError) as exc:
+        raise click.ClickException(str(exc))
+    return rows
+
+
+def _print_outcome_table(rows: list[tuple[str, TestOutcome]]):
     click.echo(f"{'test':<16} {'statistic':>14} {'df':>4} {'p-value':>14} {'reject':>7}")
     for name, outcome in rows:
         click.echo(
@@ -86,35 +104,27 @@ def cmd_test(data: Path, theta0: str, j: int, alpha: float, pseudo: bool):
     try:
         ds = load_csv(data)
     except ParseError as exc:
-        raise _fail(f"{data}: {exc}")
+        raise click.ClickException(f"{data}: {exc}")
     theta = _parse_theta0(theta0, ds.p)
     try:
         s = summarize(ds.values)
-        qa = anderson_statistic(s, theta, j)
-        qh = hpv_statistic(s, theta, j)
-        rows = [
-            ("anderson", decide(qa, ds.p - 1, alpha)),
-            ("hpv", decide(qh, ds.p - 1, alpha)),
-        ]
     except (DegeneracyError, ValueError) as exc:
-        raise _fail(str(exc))
+        raise click.ClickException(str(exc))
+    kappa_hat = kurtosis_from_summary(s, ds.values) if pseudo else None
+    rows = _test_rows(s, theta, j, alpha, kappa_hat)
     click.echo(f"n={ds.n} p={ds.p} j={j} alpha={alpha:g}")
     if pseudo:
-        kappa_hat = kurtosis_from_summary(s, ds.values)
         click.echo(f"kappa_hat={kappa_hat:.8g}")
-        try:
-            rows.append(("anderson_pseudo", decide(pseudo_gaussian(qa, kappa_hat), ds.p - 1, alpha)))
-            rows.append(("hpv_pseudo", decide(pseudo_gaussian(qh, kappa_hat), ds.p - 1, alpha)))
-        except ValueError as exc:
-            raise _fail(str(exc))
     _print_outcome_table(rows)
 
 
-_INT_KEYS = {"p", "n", "M", "limit_M"}
-_FLOAT_KEYS = {"v"}
-_BOOL_KEYS = {"pseudo", "full_scale"}
-_INT_LIST_KEYS = {"ells", "ks"}
-_FLOAT_LIST_KEYS = {"vgrid", "cgrid", "alphas"}
+# Config key -> type, read from ExperimentConfig; the experiment, seed
+# and worker count are options of their own.
+_CONFIG_TYPES = {
+    key: kind
+    for key, kind in typing.get_type_hints(ExperimentConfig).items()
+    if key not in ("experiment", "seed", "workers")
+}
 
 
 def _parse_family(token: str) -> RadialFamily:
@@ -126,33 +136,33 @@ def _parse_family(token: str) -> RadialFamily:
             return RadialFamily.student_t(float(token[1:]))
         except ValueError:
             pass
-    raise _fail(f"unknown family {token!r} (use 'gaussian' or 't<nu>', e.g. t6)")
+    raise click.ClickException(f"unknown family {token!r} (use 'gaussian' or 't<nu>', e.g. t6)")
+
+
+def _parse_scalar(kind: type, token: str):
+    if kind is RadialFamily:
+        return _parse_family(token)
+    if kind is bool:
+        if token.lower() in ("true", "1", "yes"):
+            return True
+        if token.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(token)
+    return kind(token)
 
 
 def _parse_config_value(key: str, raw: str):
+    kind = _CONFIG_TYPES.get(key)
+    if kind is None:
+        raise click.ClickException(f"unknown config key {key!r}")
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if key in _INT_LIST_KEYS:
-            return tuple(int(x) for x in raw.split(","))
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(x) for x in raw.split(","))
-        if key == "families":
-            return tuple(_parse_family(tok) for tok in raw.split(","))
-    except click.ClickException:
-        raise
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(_parse_scalar(item, tok) for tok in raw.split(","))
+        return _parse_scalar(kind, raw)
     except ValueError:
-        raise _fail(f"invalid value {raw!r} for config key {key!r}")
-    raise _fail(f"unknown config key {key!r}")
+        raise click.ClickException(f"invalid value {raw!r} for config key {key!r}")
 
 
 def _read_config_file(path: Path) -> dict:
@@ -162,7 +172,7 @@ def _read_config_file(path: Path) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise _fail(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise click.ClickException(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         out[key] = _parse_config_value(key, raw)
     return out
@@ -177,8 +187,8 @@ def _read_config_file(path: Path) -> dict:
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE", help="Override a config key.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
-@click.option("--workers", default=1, show_default=True, type=int)
+@click.option("--seed", default=ExperimentConfig.seed, show_default=True, type=int)
+@click.option("--workers", default=ExperimentConfig.workers, show_default=True, type=int)
 def cmd_simulate(experiment, config_path, overrides, out: Path, seed: int, workers: int):
     """Run one experiment grid; write <out>.csv and a <out>.txt config echo."""
     settings = {}
@@ -186,20 +196,16 @@ def cmd_simulate(experiment, config_path, overrides, out: Path, seed: int, worke
         settings.update(_read_config_file(config_path))
     for item in overrides:
         if "=" not in item:
-            raise _fail(f"--set expects KEY=VALUE, got {item!r}")
+            raise click.ClickException(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         settings[key.strip()] = _parse_config_value(key.strip(), raw)
-    known = {f.name for f in dataclass_fields(ExperimentConfig)}
-    unknown = set(settings) - known
-    if unknown:
-        raise _fail(f"unknown config keys: {', '.join(sorted(unknown))}")
     try:
         config = ExperimentConfig(
             experiment=experiment, seed=seed, workers=workers, **settings
         )
         result = run_experiment(config)
     except (ValueError, DegeneracyError) as exc:
-        raise _fail(str(exc))
+        raise click.ClickException(str(exc))
     base = out.with_suffix("") if out.suffix == ".csv" else out
     csv_path = base.with_suffix(".csv")
     txt_path = base.with_suffix(".txt")
@@ -216,7 +222,7 @@ def cmd_simulate(experiment, config_path, overrides, out: Path, seed: int, worke
 @click.option("--alpha", default=0.05, show_default=True, type=float)
 @click.option("--M", "m_draws", default=100_000, show_default=True, type=int)
 @click.option("--kappa", default=0.0, show_default=True, type=float)
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=ExperimentConfig.seed, show_default=True, type=int)
 def cmd_asymptotic(regime, p, v, alpha, m_draws, kappa, seed):
     """Monte Carlo estimate of the limiting type-I risk of the Anderson test."""
     if regime == "iv":
@@ -224,7 +230,7 @@ def cmd_asymptotic(regime, p, v, alpha, m_draws, kappa, seed):
     try:
         est = type1_risk_iii(p, v, alpha, m_draws, make_rng(seed), kappa=kappa)
     except ValueError as exc:
-        raise _fail(str(exc))
+        raise click.ClickException(str(exc))
     click.echo(f"seed: {seed}")
     click.echo("regime p v alpha kappa risk se M")
     click.echo(
@@ -250,16 +256,18 @@ def cmd_power(p, v, alpha, tau_grid):
         try:
             taus = [float(x) for x in tau_grid.split(",")]
         except ValueError:
-            raise _fail(f"--tau-grid must be comma-separated numbers, got {tau_grid!r}")
+            raise click.ClickException(
+                f"--tau-grid must be comma-separated numbers, got {tau_grid!r}"
+            )
     click.echo("tau_norm ncp_hpv ncp_oracle power_hpv power_oracle")
     for tau in taus:
         try:
             ncp_h = ncp_hpv_iii(v, tau)
             ncp_o = ncp_oracle_iii(v, tau)
+            pw_h = asymptotic_power(p - 1, ncp_h, alpha)
+            pw_o = asymptotic_power(p, ncp_o, alpha)
         except ValueError as exc:
-            raise _fail(str(exc))
-        pw_h = asymptotic_power(p - 1, ncp_h, alpha)
-        pw_o = asymptotic_power(p, ncp_o, alpha)
+            raise click.ClickException(str(exc))
         click.echo(f"{tau:.10g} {ncp_h:.10g} {ncp_o:.10g} {pw_h:.10g} {pw_o:.10g}")
 
 
@@ -301,7 +309,7 @@ def cmd_banknote(data_path, alpha):
             X = ds.values
             click.echo(f"source: {data_path} (n={ds.n}, p={ds.p})")
     except (ParseError, DegeneracyError, ValueError) as exc:
-        raise _fail(str(exc))
+        raise click.ClickException(str(exc))
     click.echo("columns: " + ",".join(ds.columns))
     click.echo("eigenvalues: " + " ".join(f"{lam:.8g}" for lam in s.eigen.values))
     click.echo("first eigenvector: " + " ".join(f"{x:+.6f}" for x in s.eigen.vectors[:, 0]))
@@ -309,30 +317,17 @@ def cmd_banknote(data_path, alpha):
     if theta is None:
         click.echo("non-standard dimension: skipping the θ₂ hypothesis test")
         return
-    try:
-        qa = anderson_statistic(s, theta, 2)
-        qh = hpv_statistic(s, theta, 2)
-        rows = [
-            ("anderson", decide(qa, s.p - 1, alpha)),
-            ("hpv", decide(qh, s.p - 1, alpha)),
-        ]
-    except (DegeneracyError, ValueError) as exc:
-        raise _fail(str(exc))
+    rows = _test_rows(s, theta, 2, alpha)
     click.echo(f"hypothesis: theta2 = (1,1,0,0)/sqrt(2), j=2, alpha={alpha:g}")
     _print_outcome_table(rows)
     if X is not None:
-        pairs = run_leave_one_out(X, theta, 2)
-        pa = np.array([a for a, _ in pairs])
-        ph = np.array([h for _, h in pairs])
+        pvalues = np.array(run_leave_one_out(X, theta, 2))
         click.echo("leave-one-out p-values:")
-        click.echo(
-            f"  anderson: median {np.median(pa):.6g} min {pa.min():.6g} max {pa.max():.6g} "
-            f"rejections@{alpha:g}: {int((pa < alpha).sum())}/{len(pa)}"
-        )
-        click.echo(
-            f"  hpv:      median {np.median(ph):.6g} min {ph.min():.6g} max {ph.max():.6g} "
-            f"rejections@{alpha:g}: {int((ph < alpha).sum())}/{len(ph)}"
-        )
+        for name, pv in zip(("anderson", "hpv"), pvalues.T):
+            click.echo(
+                f"  {name + ':':<9} median {np.median(pv):.6g} min {pv.min():.6g} "
+                f"max {pv.max():.6g} rejections@{alpha:g}: {int((pv < alpha).sum())}/{len(pv)}"
+            )
 
 
 if __name__ == "__main__":

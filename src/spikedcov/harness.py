@@ -54,8 +54,6 @@ logger = logging.getLogger(__name__)
 GRIDS = {"null": "ells", "power": "ks", "regime3": "vgrid", "highdim": "cgrid"}
 EXPERIMENTS = tuple(GRIDS)
 
-FULL_SCALE_N = 500_000
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -63,7 +61,10 @@ class ExperimentConfig:
 
     Only the fields relevant to ``experiment`` are consulted: the grid
     field that ``GRIDS`` names (the null grid crosses ``ells`` with
-    ``families``) and the shared fields.
+    ``families``) and the shared fields.  The fields and their types are
+    also the config keys of ``spikedcov simulate``, apart from
+    ``experiment``, ``seed`` and ``workers``, which are options of their
+    own.
     """
 
     experiment: str
@@ -81,7 +82,6 @@ class ExperimentConfig:
     seed: int = 20260815
     workers: int = 1
     pseudo: bool = False
-    full_scale: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -99,10 +99,9 @@ class ExperimentConfig:
             raise ValueError("alpha grid must be non-empty")
         if not _cells_for(self):
             raise ValueError("experiment grid must be non-empty")
-
-    @property
-    def effective_n(self) -> int:
-        return FULL_SCALE_N if (self.experiment == "null" and self.full_scale) else self.n
+        if self.experiment == "power" and not all(0 <= k <= 20 for k in self.ks):
+            # Past k = 20 the chord ‖τ‖ = 2 sin(kπ/80) leaves [0, √2].
+            raise ValueError("power grid ks must lie in 0..20")
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class ExperimentResult:
         lines = [
             f"experiment: {c.experiment}",
             f"p: {c.p}",
-            f"n: {c.effective_n}",
+            f"n: {c.n}",
             f"M: {c.M}",
             f"v: {_fmt(c.v)}",
             f"alphas: {','.join(_fmt(a) for a in c.alphas)}",
@@ -283,7 +282,7 @@ def _draw(config: ExperimentConfig, cell: dict, rng) -> tuple[np.ndarray, np.nda
         model = SpikedModel(
             p=config.p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(cell["ell"]), theta1=theta0
         )
-        return sample(model, config.effective_n, cell["family"], rng), theta0
+        return sample(model, config.n, cell["family"], rng), theta0
     # Power and regime3 cells sit on the boundary r_n = n^(−1/2), with
     # Gaussian data.
     if config.experiment == "power":
@@ -415,18 +414,6 @@ def _set_blas_threads(threads: int | dict[str, int]) -> dict[str, int]:
     return previous
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: cap every OpenBLAS loaded in this worker at one thread.
-
-    Workers are forked after numpy has loaded OpenBLAS, so an environment
-    variable set at that point is never read: each worker would keep the
-    default of one BLAS thread per core, and ``workers`` processes would
-    run ``workers`` × cores threads on the cores.  With the cap,
-    parallelism comes from the worker count alone.
-    """
-    _set_blas_threads(1)
-
-
 def _run_cells(config: ExperimentConfig):
     """Execute all cells; return (cells, per-cell (counts, degenerates),
     number of OpenBLAS libraries the replicates ran capped at one thread)."""
@@ -465,9 +452,13 @@ def _run_cells(config: ExperimentConfig):
         # stay as they are: raising a count once the pool has forked
         # starts OpenBLAS threads that spin on the caller's cores.
         capped = len(_openblas_thread_controls())
+        # Each worker caps its OpenBLAS at one thread, so parallelism
+        # comes from the worker count alone.  Workers fork after numpy has
+        # loaded OpenBLAS, so an environment variable set then is never
+        # read, and each worker would run one BLAS thread per core.
         try:
             with ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_one_blas_thread
+                max_workers=config.workers, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:
                 futures = [
                     (ci, pool.submit(_chunk_counts, config, ci, lo, hi)) for ci, lo, hi in jobs

@@ -21,7 +21,6 @@ from spikedcov.asymptotics import (
     _BLOCK,
     _qa_limit_block,
     asymptotic_power,
-    qa_limit_sample,
     sample_z_elliptical,
     type1_risk_iv,
 )
@@ -120,7 +119,11 @@ def test_criterion_03_limit_law_risks():
     est_b = type1_risk_iv(2, 0.001, 1_000_000, make_rng(SEED + 1))
     est_c = type1_risk_iv(10, 0.05, 100_000, make_rng(SEED + 2))
     rng = make_rng(SEED + 3)
-    draws = np.array([qa_limit_sample(2, 0.0, rng=rng) for _ in range(100_000)])
+    M = 100_000
+    # Blocks draw the same values as successive qa_limit_sample calls.
+    draws = np.concatenate(
+        [_qa_limit_block(2, 0.0, 0.0, min(_BLOCK, M - lo), rng) for lo in range(0, M, _BLOCK)]
+    )
     ks_stat, ks_p = scipy_stats.kstest(draws, lambda x: scipy_stats.chi2.cdf(x / 4.0, 1))
     ok_a = abs(est_a.risk - 0.327) <= 0.01
     ok_b = abs(est_b.risk - 0.10) <= 0.005

@@ -1,13 +1,17 @@
 """End-to-end CLI behaviour through click's test runner."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from spikedcov import cli
 from spikedcov.cli import main
 from spikedcov.distributions import make_rng
+from spikedcov.harness import ExperimentConfig, ExperimentResult
+from spikedcov.model import RadialFamily
 
 
 @pytest.fixture
@@ -21,6 +25,39 @@ def write_dataset(path, X, columns=None):
     lines += [",".join(repr(float(v)) for v in row) for row in X]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# A --set value for every config key, with the value the config must hold.
+SET_VALUES = {
+    "p": ("4", 4),
+    "n": ("90", 90),
+    "M": ("7", 7),
+    "v": ("2.5", 2.5),
+    "ells": ("1,4", (1, 4)),
+    "families": ("gaussian,t6", (RadialFamily.gaussian(), RadialFamily.student_t(6.0))),
+    "alphas": ("0.01,0.1", (0.01, 0.1)),
+    "ks": ("0,20", (0, 20)),
+    "vgrid": ("0,3.5", (0.0, 3.5)),
+    "cgrid": ("0.25,2", (0.25, 2.0)),
+    "limit_M": ("500", 500),
+    "pseudo": ("yes", True),
+}
+CONFIG_KEYS = [
+    f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "seed", "workers")
+]
+
+
+def capture_configs(monkeypatch) -> list:
+    """Replace the CLI's grid runner by one that records each config it
+    gets and returns an empty result."""
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        return ExperimentResult(config=config, rows=())
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    return seen
 
 
 def spiked_data(n=300, p=3, seed=0):
@@ -230,6 +267,43 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--experiment", "nope", "--out", "x"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_set_reaches_config(self, runner, tmp_path, monkeypatch, key):
+        seen = capture_configs(monkeypatch)
+        raw, expected = SET_VALUES[key]
+        result = runner.invoke(
+            main,
+            ["simulate", "--experiment", "power", "--set", f"{key}={raw}"]
+            + ["--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 0, result.output
+        (config,) = seen
+        # repr tells 7 from 7.0 and True from 1
+        assert repr(getattr(config, key)) == repr(expected)
+
+    def test_full_scale_is_unknown(self, runner, tmp_path, monkeypatch):
+        seen = capture_configs(monkeypatch)
+        result = runner.invoke(
+            main,
+            ["simulate", "--experiment", "null", "--set", "full_scale=true"]
+            + ["--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1
+        assert "unknown config key 'full_scale'" in result.output
+        assert seen == []
+
+    def test_power_ks_past_hemisphere_fails_before_any_replicate(
+        self, runner, tmp_path, monkeypatch
+    ):
+        seen = capture_configs(monkeypatch)
+        result = runner.invoke(
+            main,
+            ["simulate", "--experiment", "power", "--set", "ks=0,25", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1
+        assert "power grid ks must lie in 0..20" in result.output
+        assert seen == []
+
 
 class TestAsymptoticCommand:
     def test_regime_iv_output(self, runner):
@@ -295,6 +369,19 @@ class TestPowerCommand:
     def test_rejects_tau_out_of_range(self, runner):
         result = runner.invoke(main, ["power", "--tau-grid", "1.5"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--p", "1"], "df must be a positive integer"),
+            (["--alpha", "1.5"], "q must lie strictly between 0 and 1"),
+        ],
+    )
+    def test_bad_input_exits_cleanly(self, runner, args, message):
+        result = runner.invoke(main, ["power", *args])
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, ValueError)  # no traceback
+        assert message in result.output
 
 
 class TestBanknoteCommand:

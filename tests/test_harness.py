@@ -99,7 +99,7 @@ class TestPoolWorkers:
         before = blas_threads()
         no_proc_maps(monkeypatch)
         assert harness._openblas_libraries() == []
-        harness._one_blas_thread()
+        harness._set_blas_threads(1)
         monkeypatch.undo()
         assert blas_threads() == before
 
@@ -188,11 +188,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="power", ks=())
 
-    def test_effective_n(self):
-        cfg = tiny_null_config(full_scale=True)
-        assert cfg.effective_n == 500_000
-        cfg2 = ExperimentConfig(experiment="highdim", n=100, full_scale=True)
-        assert cfg2.effective_n == 100  # the flag only applies to the null grid
+    @pytest.mark.parametrize("ks", [(0, 21), (-1,), (0, 25)])
+    def test_power_ks_outside_hemisphere(self, ks):
+        # ‖τ‖ = 2 sin(kπ/80) leaves [0, √2] outside 0..20: the config is
+        # refused before any replicate runs.
+        with pytest.raises(ValueError, match="0..20"):
+            ExperimentConfig(experiment="power", ks=ks)
+        # Only the power grid reads ks.
+        ExperimentConfig(experiment="null", ks=ks)
 
     def test_tau_norm_chord_length(self):
         assert _tau_norm(0) == 0.0
