@@ -259,7 +259,9 @@ def cmd_power(p, v, alpha, tau_grid):
             raise click.ClickException(
                 f"--tau-grid must be comma-separated numbers, got {tau_grid!r}"
             )
-    click.echo("tau_norm ncp_hpv ncp_oracle power_hpv power_oracle")
+    # Every row is built before the header is echoed, so bad input
+    # prints the error alone.
+    rows = []
     for tau in taus:
         try:
             ncp_h = ncp_hpv_iii(v, tau)
@@ -268,7 +270,10 @@ def cmd_power(p, v, alpha, tau_grid):
             pw_o = asymptotic_power(p, ncp_o, alpha)
         except ValueError as exc:
             raise click.ClickException(str(exc))
-        click.echo(f"{tau:.10g} {ncp_h:.10g} {ncp_o:.10g} {pw_h:.10g} {pw_o:.10g}")
+        rows.append(f"{tau:.10g} {ncp_h:.10g} {ncp_o:.10g} {pw_h:.10g} {pw_o:.10g}")
+    click.echo("tau_norm ncp_hpv ncp_oracle power_hpv power_oracle")
+    for row in rows:
+        click.echo(row)
 
 
 BANKNOTE_N = 85

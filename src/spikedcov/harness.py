@@ -259,52 +259,62 @@ def _e1(p: int) -> np.ndarray:
     return theta
 
 
-def _draw(config: ExperimentConfig, cell: dict, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate's data matrix X and null direction θ⁰, drawn from ``rng``.
+def _cell_draw(config: ExperimentConfig, cell: dict):
+    """``draw(rng) -> (X, θ⁰)``: one replicate's data matrix and null
+    direction for ``cell``, drawn from ``rng``.
 
-    Null, power and spiked regime3 cells draw through ``sample``; a
-    regime3 cell with v = 0 and every highdim cell draw Gaussian data
-    inline.
+    The model, family and θ⁰ are built here, once per chunk.  Null,
+    power and spiked regime3 cells draw through ``sample``; a regime3
+    cell with v = 0 and every highdim cell draw Gaussian data inline.
     """
+    n = config.n
     if config.experiment == "highdim":
         # Σ = I_p + θ₀θ₀ᵀ, fixed unit spike, p scales with n.
         pc = _highdim_p(config, cell["c"])
-        n = config.n
-        if pc >= n:
-            # The sample covariance has rank at most n − 1 < p: neither
-            # statistic is defined, so the replicate is degenerate by design.
-            raise DegeneracyError(f"p = {pc} >= n = {n}: sample covariance is singular")
         theta0 = _e1(pc)
-        G = rng.standard_normal((n, pc))
-        return G + np.outer(G[:, 0], (math.sqrt(2.0) - 1.0) * theta0), theta0
+
+        def draw(rng):
+            if pc >= n:
+                # The sample covariance has rank at most n − 1 < p: neither
+                # statistic is defined, so the replicate is degenerate by design.
+                raise DegeneracyError(f"p = {pc} >= n = {n}: sample covariance is singular")
+            G = rng.standard_normal((n, pc))
+            # Only column 0 carries the spike: G + G[:, 0](√2 − 1)θ₀ᵀ.
+            G[:, 0] += G[:, 0] * (math.sqrt(2.0) - 1.0)
+            return G, theta0
+
+        return draw
     theta0 = _e1(config.p)
     if config.experiment == "null":
         model = SpikedModel(
             p=config.p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(cell["ell"]), theta1=theta0
         )
-        return sample(model, config.n, cell["family"], rng), theta0
-    # Power and regime3 cells sit on the boundary r_n = n^(−1/2), with
-    # Gaussian data.
-    if config.experiment == "power":
-        angle = cell["k"] * math.pi / 40.0
-        theta1 = np.zeros(config.p)
-        theta1[:2] = math.cos(angle), math.sin(angle)
-        v = config.v
+        family = cell["family"]
     else:
-        theta1, v = theta0, cell["v"]
-        if v == 0.0:
-            return rng.standard_normal((config.n, config.p)), theta0
-    model = SpikedModel(p=config.p, sigma=1.0, v=v, rate=SpikeRate.exponent(3), theta1=theta1)
-    return sample(model, config.n, RadialFamily.gaussian(), rng), theta0
+        # Power and regime3 cells sit on the boundary r_n = n^(−1/2), with
+        # Gaussian data.
+        if config.experiment == "power":
+            angle = cell["k"] * math.pi / 40.0
+            theta1 = np.zeros(config.p)
+            theta1[:2] = math.cos(angle), math.sin(angle)
+            v = config.v
+        else:
+            theta1, v = theta0, cell["v"]
+            if v == 0.0:
+                return lambda rng: (rng.standard_normal((n, config.p)), theta0)
+        model = SpikedModel(p=config.p, sigma=1.0, v=v, rate=SpikeRate.exponent(3), theta1=theta1)
+        family = RadialFamily.gaussian()
+    return lambda rng: (sample(model, n, family, rng), theta0)
 
 
 def _replicate_stats(
-    config: ExperimentConfig, cell: dict, rng, tests: list[tuple[str, int]]
+    config: ExperimentConfig, draw, rng, tests: list[tuple[str, int]]
 ) -> dict[str, float]:
     """The statistics ``tests`` lists (see ``_tests_for_cell``), on one
-    replicate drawn from ``rng``.  A ``*_pseudo`` test follows the test
-    it corrects, and κ̂ is computed once, only when one is listed."""
-    X, theta0 = _draw(config, cell, rng)
+    replicate ``draw`` (see ``_cell_draw``) takes from ``rng``.  A
+    ``*_pseudo`` test follows the test it corrects, and κ̂ is computed
+    once, only when one is listed."""
+    X, theta0 = draw(rng)
     s = summarize(X)
     out = {}
     kappa_hat = None
@@ -332,6 +342,7 @@ def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
     """Rejection counts over replicates [lo, hi) of one cell."""
     cell = _cells_for(config)[cell_index]
     tests = _tests_for_cell(config, cell)
+    draw = _cell_draw(config, cell)
     crits = np.array(
         [[chi2_quantile(1.0 - a, df) for a in config.alphas] for _, df in tests]
     )
@@ -340,7 +351,7 @@ def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
     for rep in range(lo, hi):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
         try:
-            stats = _replicate_stats(config, cell, rng, tests)
+            stats = _replicate_stats(config, draw, rng, tests)
             # ``nan > crit`` is False: a non-finite or negative statistic
             # must never pass as a non-rejection.
             values = np.array([_nonnegative(stats[name]) for name, _ in tests])

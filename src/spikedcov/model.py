@@ -95,7 +95,7 @@ def _check_unit(theta: np.ndarray, name: str) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1:
         raise ValueError(f"{name} must be a vector")
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(theta) - 1.0) <= 1e-10:
         raise ValueError(f"{name} must be a unit vector (within 1e-10)")
     return theta
 
@@ -145,21 +145,32 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
     the exact covariance (not merely the scatter matrix).
     The generator is consumed in a fixed order (Gaussian block first, then
     the chi-square mixing draws) to keep streams reproducible.
+    Only the columns where θ₁ is non-zero receive the spike, and the
+    scale and shift are skipped when sigma = 1 and mu = 0; adding a zero
+    or scaling by one would leave every value as it is.
     """
     if n < model.p + 1:
         raise ValueError("need n >= p+1 so the sample covariance is nonsingular")
     r = model.rate.at(n)
     spike = math.sqrt(1.0 + r * model.v) - 1.0
     X = rng.standard_normal((n, model.p))
-    X += np.outer(X @ model.theta1, spike * model.theta1)
-    X *= model.sigma
+    u = X @ model.theta1
+    cols = np.flatnonzero(model.theta1)
+    # Column k gains u·(spike·θ₁ₖ); one spiked column reuses u for it.
+    shift = u if cols.size == 1 else np.empty(n)
+    for k in cols:
+        np.multiply(u, spike * model.theta1[k], out=shift)
+        X[:, k] += shift
+    if model.sigma != 1.0:
+        X *= model.sigma
     if family.kind == "student-t":
         nu = family.nu
         w = rng.chisquare(nu, size=n)
         X *= (math.sqrt((nu - 2.0) / nu) / np.sqrt(w / nu))[:, None]
     elif family.kind != "gaussian":
         raise ValueError(f"unknown radial family {family.kind!r}")
-    X += model.mu
+    if model.mu.any():
+        X += model.mu
     return X
 
 

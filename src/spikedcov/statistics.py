@@ -90,7 +90,7 @@ def summarize(X: np.ndarray) -> SampleSummary:
         raise ValueError("data matrix contains non-finite entries")
     if n < p + 1:
         raise ValueError(f"need n >= p+1 observations, got n={n}, p={p}")
-    mean = X.mean(axis=0)
+    mean = X.sum(axis=0) / n  # np.mean's own arithmetic, without its overhead
     Xc = X - mean
     S = (Xc.T @ Xc) / n
     S = (S + S.T) / 2.0  # clear rounding asymmetry before validation
@@ -123,7 +123,7 @@ def _check_theta0(s: SampleSummary, theta0: np.ndarray) -> np.ndarray:
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (s.p,):
         raise ValueError(f"theta0 must have length p={s.p}")
-    if abs(np.linalg.norm(theta0) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(theta0) - 1.0) <= 1e-10:
         raise ValueError("theta0 must be a unit vector (within 1e-10)")
     return theta0
 
@@ -170,9 +170,11 @@ def hpv_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> float:
     theta0 = _check_theta0(s, theta0)
     j = _check_j(s, j)
     lam = s.eigen.values
-    frame = gram_schmidt_complement(theta0, np.delete(s.eigen.vectors, j - 1, axis=1).T)
+    others = np.arange(1, s.p)
+    others[: j - 1] -= 1  # 0, ..., j-2, j, ..., p-1
+    frame = gram_schmidt_complement(theta0, s.eigen.vectors[:, others].T)
     proj = frame @ (s.cov @ theta0)
-    return s.n / lam[j - 1] * float(np.sum(proj * proj / np.delete(lam, j - 1)))
+    return s.n / lam[j - 1] * float(np.sum(proj * proj / lam[others]))
 
 
 def kurtosis_estimate(X: np.ndarray) -> float:

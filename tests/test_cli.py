@@ -375,6 +375,7 @@ class TestPowerCommand:
         [
             (["--p", "1"], "df must be a positive integer"),
             (["--alpha", "1.5"], "q must lie strictly between 0 and 1"),
+            (["--tau-grid", "1.5"], "tau_norm must lie in [0, sqrt(2)]"),
         ],
     )
     def test_bad_input_exits_cleanly(self, runner, args, message):
@@ -382,6 +383,9 @@ class TestPowerCommand:
         assert result.exit_code == 1
         assert not isinstance(result.exception, ValueError)  # no traceback
         assert message in result.output
+        # the error comes alone, without a header for rows that never came
+        assert "ncp_hpv" not in result.output
+        assert result.stdout == ""
 
 
 class TestBanknoteCommand:

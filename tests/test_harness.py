@@ -339,7 +339,7 @@ class TestHighDim:
     def test_non_finite_statistic_counted_as_degenerate(self, monkeypatch):
         calls = iter([float("nan"), math.inf, 1e9, 0.0])
 
-        def fake_stats(config, cell, rng, tests):
+        def fake_stats(config, draw, rng, tests):
             return {"anderson": 0.0, "hpv": next(calls)}
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
@@ -355,7 +355,7 @@ class TestHighDim:
         # -5 and -1e-6 are not rounding; -1e-15 is, and counts as 0
         calls = iter([-5.0, -1e-6, -1e-15, 1e9, 0.0])
 
-        def fake_stats(config, cell, rng, tests):
+        def fake_stats(config, draw, rng, tests):
             return {"anderson": 0.0, "hpv": next(calls)}
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)

@@ -3,7 +3,8 @@
 Ground truths: numpy.linalg.eigh for the LAPACK-backed path, the cyclic
 Jacobi sweep (below) as an independent cross-check, the 2x2
 characteristic polynomial in closed form, and a modified Gram-Schmidt
-loop (below) as the reference for the QR-built complement frame.
+loop (below) as the reference for the QR-built complement frame, and
+``np.linalg.qr`` of the same columns as the reference for its bits.
 """
 
 import numpy as np
@@ -102,6 +103,18 @@ def reference_gram_schmidt(theta0, vecs):
     return np.array(out)
 
 
+def numpy_qr_frame(theta0, vecs):
+    """The frame as ``np.linalg.qr`` of ``[theta0, v_2, ..., v_p]`` gives
+    it, columns signed so that diag(R) > 0; raises DegeneracyError naming
+    the first position with |R_kk| < 1e-12."""
+    Q, R = np.linalg.qr(np.column_stack([theta0, np.asarray(vecs, dtype=float).T]))
+    r = np.diag(R)
+    collapsed = np.flatnonzero(np.abs(r[1:]) < 1e-12)
+    if collapsed.size:
+        raise DegeneracyError(f"Gram-Schmidt degenerate at frame position j={collapsed[0] + 2}")
+    return (Q[:, 1:] * np.where(r[1:] < 0.0, -1.0, 1.0)).T
+
+
 def random_symmetric(p, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((p, p))
@@ -168,6 +181,22 @@ class TestSymEigen:
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             sym_eigen(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for i, j in ((0, 0), (0, 1), (2, 2)):
+            A = np.eye(3)
+            A[i, j] = A[j, i] = bad
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                _require_symmetric(A)
+
+    def test_asymmetry_message(self):
+        A = np.array([[1.0, 1e-9], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^matrix is not symmetric within tolerance$"):
+            _require_symmetric(A)
+        # relative to max(1, max|A|): 1e-9 off is rounding at scale 1e4
+        A = np.array([[1e4, 1e-9], [0.0, 1.0]])
+        assert _require_symmetric(A) is not None
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -305,10 +334,39 @@ class TestGramSchmidtOracle:
                 expected = s.n / s.eigen.values[j - 1] * acc
                 assert hpv_statistic(s, theta0, j) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2, 3, 10, 50, 130])
+    def test_matches_numpy_qr(self, p):
+        # the LAPACK calls give np.linalg.qr's frame, from an array or a
+        # list of vectors alike
+        rng = np.random.default_rng(3000 + p)
+        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        for theta0, vecs in (
+            (self.unit_vector(p, rng), V[:, 1:].T),
+            (V[:, 0], V[:, 1:].T),
+            (self.unit_vector(p, rng), rng.standard_normal((p - 1, p))),
+        ):
+            expected = numpy_qr_frame(theta0, vecs)
+            for given in (vecs, list(vecs)):
+                got = gram_schmidt_complement(theta0, given)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("position", [2, 3, 6])
+    def test_degenerate_position_matches_numpy_qr(self, position):
+        rng = np.random.default_rng(5 + position)
+        theta0 = self.unit_vector(6, rng)
+        cols = list(rng.standard_normal((5, 6)))
+        cols[position - 2] = 0.4 * theta0 + sum(0.7 * c for c in cols[: position - 2])
+        for build in (gram_schmidt_complement, numpy_qr_frame):
+            with pytest.raises(DegeneracyError, match=f"j={position}"):
+                build(theta0, cols)
+
     def test_validation(self):
         theta0 = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="unit"):
             gram_schmidt_complement(2.0 * theta0, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="unit"):
+                gram_schmidt_complement([bad, 0.0, 0.0], np.eye(3)[1:])
         with pytest.raises(ValueError, match="expected 2 vectors"):
             gram_schmidt_complement(theta0, [[0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="length"):

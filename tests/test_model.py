@@ -111,6 +111,11 @@ class TestSpikedModel:
             SpikedModel(p=3, sigma=1.0, v=-1.0, rate=SpikeRate.constant(), theta1=unit(3))
         with pytest.raises(ValueError):  # not a unit vector
             SpikedModel(p=3, sigma=1.0, v=1.0, rate=SpikeRate.constant(), theta1=np.ones(3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="unit"):
+                SpikedModel(
+                    p=3, sigma=1.0, v=1.0, rate=SpikeRate.constant(), theta1=[bad, 0.0, 0.0]
+                )
 
 
 def reference_sample(model, n, family, rng):
@@ -139,15 +144,32 @@ def scaled_shifted_model(p):
     )
 
 
+def unit_sigma_zero_mu_model(p, theta1):
+    """sigma = 1, mu = 0: the shape of every harness cell."""
+    return SpikedModel(p=p, sigma=1.0, v=1.0, rate=SpikeRate.exponent(3), theta1=theta1)
+
+
 class TestSampling:
     @pytest.mark.parametrize("family", [RadialFamily.gaussian(), RadialFamily.student_t(6)])
     def test_matches_reference_bit_for_bit(self, family):
+        angle = 7 * math.pi / 40.0  # a power cell's θ₁(k), k = 7
         for p, n in ((3, 50), (10, 2000)):
-            m = scaled_shifted_model(p)
-            for seed in range(3):
-                X = sample(m, n, family, make_rng(seed))
-                ref = reference_sample(m, n, family, make_rng(seed))
-                assert X.tobytes() == ref.tobytes()
+            two = np.zeros(p)
+            two[:2] = math.cos(angle), math.sin(angle)
+            negative = np.zeros(p)
+            negative[[0, p - 1]] = 0.6, -0.8
+            models = (
+                scaled_shifted_model(p),
+                unit_sigma_zero_mu_model(p, unit(p)),
+                unit_sigma_zero_mu_model(p, two),
+                unit_sigma_zero_mu_model(p, negative),
+                unit_sigma_zero_mu_model(p, -unit(p, 1)),
+            )
+            for m in models:
+                for seed in range(3):
+                    X = sample(m, n, family, make_rng(seed))
+                    ref = reference_sample(m, n, family, make_rng(seed))
+                    assert X.tobytes() == ref.tobytes()
 
     def test_gaussian_moments(self):
         theta = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)

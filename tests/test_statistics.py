@@ -73,6 +73,12 @@ class TestSummarize:
         with pytest.raises(ValueError, match="finite"):
             summarize(X)
 
+    def test_mean_matches_numpy_mean_bit_for_bit(self):
+        rng = make_rng(5)
+        for n, p in ((4, 3), (200, 10), (100_000, 2), (1001, 7)):
+            X = 3.0 * rng.standard_normal((n, p)) + np.linspace(-5.0, 5.0, p)
+            assert np.array_equal(summarize(X).mean, X.mean(axis=0))
+
     def test_rank_deficient(self):
         rng = make_rng(3)
         base = rng.standard_normal((6, 1))
@@ -138,6 +144,20 @@ class TestAnderson:
         s, _ = random_summary(50, 3, 15)
         with pytest.raises(ValueError, match="unit"):
             anderson_statistic(s, np.array([1.0, 1.0, 0.0]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_theta0_rejected(self, bad):
+        # abs(norm - 1) > tol is False for nan: the check must not let it by
+        s, _ = random_summary(50, 3, 15)
+        theta0 = np.array([bad, 0.0, 0.0])
+        for statistic in (
+            lambda: anderson_statistic(s, theta0, 1),
+            lambda: hpv_statistic(s, theta0, 1),
+            lambda: q_delta(s, theta0, 1.0, 0),
+            lambda: oracle_statistic(s, theta0, np.eye(3)),
+        ):
+            with pytest.raises(ValueError, match="unit"):
+                statistic()
 
 
 class TestHPV:
