@@ -22,6 +22,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class ExperimentConfig:
     ``families``) and the shared fields.  The fields and their types are
     also the config keys of ``spikedcov simulate``, apart from
     ``experiment``, ``seed`` and ``workers``, which are options of their
-    own.
+    own.  Construction builds the grid's cells (``_cells_for``), so a grid
+    that no replicate could run raises ``ValueError`` here.
     """
 
     experiment: str
@@ -99,9 +101,6 @@ class ExperimentConfig:
             raise ValueError("alpha grid must be non-empty")
         if not _cells_for(self):
             raise ValueError("experiment grid must be non-empty")
-        if self.experiment == "power" and not all(0 <= k <= 20 for k in self.ks):
-            # Past k = 20 the chord ‖τ‖ = 2 sin(kπ/80) leaves [0, √2].
-            raise ValueError("power grid ks must lie in 0..20")
 
 
 @dataclass(frozen=True)
@@ -187,70 +186,137 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cell enumeration and per-replicate statistics.  Everything here is
-# deterministic in (config, cell_index, replicate_index) so that any
-# scheduling of chunks reproduces the same counts.
+# Grid cells and per-replicate statistics.  ``_cells_for`` is the one
+# place that decides what each experiment kind computes; everything after
+# it reads the cell records.  Everything here is deterministic in
+# (config, cell_index, replicate_index) so that any scheduling of chunks
+# reproduces the same counts.
 # ---------------------------------------------------------------------------
 
 
-def _cells_for(config: ExperimentConfig) -> list[dict]:
+@dataclass(frozen=True)
+class _Cell:
+    """One grid cell.
+
+    ``draw(rng) -> (X, θ⁰)`` takes one replicate's data matrix and null
+    direction from ``rng``; its model, family and θ⁰ are built with the
+    cell.  A cell holds a closure, so it is never pickled: a pool worker
+    rebuilds the cells from the config.
+    """
+
+    value: float  # the grid value: ell, k, v or c
+    label: str  # the cell's key in the degenerate counts
+    columns: tuple[tuple[str, str], ...]  # leading CSV columns
+    tests: tuple[tuple[str, int], ...]  # (test name, degrees of freedom)
+    draw: Callable
+
+
+def _cells_for(config: ExperimentConfig) -> list[_Cell]:
+    """The cells of ``config``'s grid, in output order.
+
+    Raises ``ValueError`` for a grid that no replicate could run, so that
+    ``ExperimentConfig`` refuses it before any replicate runs.
+    """
+    n, p = config.n, config.p
+    if config.experiment == "highdim":
+        return [_highdim_cell(n, c) for c in config.cgrid]
+    if n < p + 1:
+        raise ValueError("need n >= p+1 so the sample covariance is nonsingular")
+    theta0 = _e1(p)
     if config.experiment == "null":
-        return [{"family": f, "ell": e} for f in config.families for e in config.ells]
+        cells = []
+        for family in config.families:
+            tests = (("anderson", p - 1), ("hpv", p - 1))
+            if config.pseudo or family.kind != "gaussian":
+                tests += (("anderson_pseudo", p - 1), ("hpv_pseudo", p - 1))
+            for ell in config.ells:
+                model = SpikedModel(
+                    p=p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(ell), theta1=theta0
+                )
+                cells.append(
+                    _Cell(
+                        ell,
+                        f"family={family.label} ell={ell}",
+                        (("family", family.label), ("ell", str(ell))),
+                        tests,
+                        _sampling_draw(model, n, family, theta0),
+                    )
+                )
+        return cells
+    # Power and regime3 cells sit on the boundary r_n = n^(−1/2), with
+    # Gaussian data.
+    boundary, gaussian = SpikeRate.exponent(3), RadialFamily.gaussian()
+    cells = []
     if config.experiment == "power":
-        return [{"k": k} for k in config.ks]
-    if config.experiment == "regime3":
-        return [{"v": v} for v in config.vgrid]
-    return [{"c": c} for c in config.cgrid]
+        for k in config.ks:
+            if not 0 <= k <= 20:
+                # Past k = 20 the chord ‖τ‖ = 2 sin(kπ/80) leaves [0, √2].
+                raise ValueError("power grid ks must lie in 0..20")
+            angle = k * math.pi / 40.0
+            theta1 = np.zeros(p)
+            theta1[:2] = math.cos(angle), math.sin(angle)
+            model = SpikedModel(p=p, sigma=1.0, v=config.v, rate=boundary, theta1=theta1)
+            cells.append(
+                _Cell(
+                    k,
+                    f"k={k}",
+                    (("k", str(k)), ("tau_norm", _fmt(_tau_norm(k)))),
+                    (("hpv", p - 1), ("oracle", p)),
+                    _sampling_draw(model, n, gaussian, theta0),
+                )
+            )
+        return cells
+    for v in config.vgrid:
+        if v == 0.0:
+            draw = lambda rng: (rng.standard_normal((n, p)), theta0)
+        else:
+            model = SpikedModel(p=p, sigma=1.0, v=v, rate=boundary, theta1=theta0)
+            draw = _sampling_draw(model, n, gaussian, theta0)
+        cells.append(_Cell(v, f"v={_fmt(v)}", (("v", _fmt(v)),), (("anderson", p - 1),), draw))
+    return cells
 
 
-def _cell_label(config: ExperimentConfig, cell: dict) -> str:
-    if config.experiment == "null":
-        return f"family={cell['family'].label} ell={cell['ell']}"
-    if config.experiment == "power":
-        return f"k={cell['k']}"
-    if config.experiment == "regime3":
-        return f"v={_fmt(cell['v'])}"
-    return f"c={_fmt(cell['c'])}"
+def _highdim_cell(n: int, c: float) -> _Cell:
+    """Σ = I_p + θ₀θ₀ᵀ, a fixed unit spike, with p = c·n (at least 2)."""
+    if not 0.0 < c < math.inf:
+        raise ValueError("highdim grid cgrid values must be positive and finite")
+    pc = max(2, int(round(c * n)))
+    label, columns = f"c={_fmt(c)}", (("c", _fmt(c)), ("p", str(pc)))
+    if pc >= n:
+
+        def singular(rng):
+            # The sample covariance has rank at most n − 1 < p: neither
+            # statistic is defined, so the replicate is degenerate by design.
+            raise DegeneracyError(f"p = {pc} >= n = {n}: sample covariance is singular")
+
+        return _Cell(c, label, columns, (("hpv", pc - 1),), singular)
+    theta0 = _e1(pc)
+
+    def draw(rng):
+        G = rng.standard_normal((n, pc))
+        # Only column 0 carries the spike: G + G[:, 0](√2 − 1)θ₀ᵀ.
+        G[:, 0] += G[:, 0] * (math.sqrt(2.0) - 1.0)
+        return G, theta0
+
+    return _Cell(c, label, columns, (("anderson", pc - 1), ("hpv", pc - 1)), draw)
 
 
-def _cell_columns(config: ExperimentConfig, cell: dict) -> tuple[tuple[str, str], ...]:
-    if config.experiment == "null":
-        return (("family", cell["family"].label), ("ell", str(cell["ell"])))
-    if config.experiment == "power":
-        k = cell["k"]
-        return (("k", str(k)), ("tau_norm", _fmt(_tau_norm(k))))
-    if config.experiment == "regime3":
-        return (("v", _fmt(cell["v"])),)
-    c = cell["c"]
-    return (("c", _fmt(c)), ("p", str(_highdim_p(config, c))))
+def _sampling_draw(model: SpikedModel, n: int, family: RadialFamily, theta0: np.ndarray):
+    return lambda rng: (sample(model, n, family, rng), theta0)
+
+
+# ``bench/checks.py`` reads cells through these two.
+def _cell_label(config: ExperimentConfig, cell: _Cell) -> str:
+    return cell.label
+
+
+def _cell_columns(config: ExperimentConfig, cell: _Cell) -> tuple[tuple[str, str], ...]:
+    return cell.columns
 
 
 def _tau_norm(k: int) -> float:
     # ‖θ₁(k) − e₁‖ for θ₁(k) = (cos(kπ/40), sin(kπ/40), 0, ...).
     return 2.0 * math.sin(k * math.pi / 80.0)
-
-
-def _highdim_p(config: ExperimentConfig, c: float) -> int:
-    return max(2, int(round(c * config.n)))
-
-
-def _tests_for_cell(config: ExperimentConfig, cell: dict) -> list[tuple[str, int]]:
-    """(test name, degrees of freedom) pairs computed in this cell."""
-    p = config.p
-    if config.experiment == "null":
-        tests = [("anderson", p - 1), ("hpv", p - 1)]
-        if config.pseudo or cell["family"].kind != "gaussian":
-            tests += [("anderson_pseudo", p - 1), ("hpv_pseudo", p - 1)]
-        return tests
-    if config.experiment == "power":
-        return [("hpv", p - 1), ("oracle", p)]
-    if config.experiment == "regime3":
-        return [("anderson", p - 1)]
-    pc = _highdim_p(config, cell["c"])
-    tests = [("hpv", pc - 1)]
-    if pc < config.n:
-        tests.insert(0, ("anderson", pc - 1))
-    return tests
 
 
 def _e1(p: int) -> np.ndarray:
@@ -259,66 +325,15 @@ def _e1(p: int) -> np.ndarray:
     return theta
 
 
-def _cell_draw(config: ExperimentConfig, cell: dict):
-    """``draw(rng) -> (X, θ⁰)``: one replicate's data matrix and null
-    direction for ``cell``, drawn from ``rng``.
-
-    The model, family and θ⁰ are built here, once per chunk.  Null,
-    power and spiked regime3 cells draw through ``sample``; a regime3
-    cell with v = 0 and every highdim cell draw Gaussian data inline.
-    """
-    n = config.n
-    if config.experiment == "highdim":
-        # Σ = I_p + θ₀θ₀ᵀ, fixed unit spike, p scales with n.
-        pc = _highdim_p(config, cell["c"])
-        theta0 = _e1(pc)
-
-        def draw(rng):
-            if pc >= n:
-                # The sample covariance has rank at most n − 1 < p: neither
-                # statistic is defined, so the replicate is degenerate by design.
-                raise DegeneracyError(f"p = {pc} >= n = {n}: sample covariance is singular")
-            G = rng.standard_normal((n, pc))
-            # Only column 0 carries the spike: G + G[:, 0](√2 − 1)θ₀ᵀ.
-            G[:, 0] += G[:, 0] * (math.sqrt(2.0) - 1.0)
-            return G, theta0
-
-        return draw
-    theta0 = _e1(config.p)
-    if config.experiment == "null":
-        model = SpikedModel(
-            p=config.p, sigma=1.0, v=config.v, rate=SpikeRate.exponent(cell["ell"]), theta1=theta0
-        )
-        family = cell["family"]
-    else:
-        # Power and regime3 cells sit on the boundary r_n = n^(−1/2), with
-        # Gaussian data.
-        if config.experiment == "power":
-            angle = cell["k"] * math.pi / 40.0
-            theta1 = np.zeros(config.p)
-            theta1[:2] = math.cos(angle), math.sin(angle)
-            v = config.v
-        else:
-            theta1, v = theta0, cell["v"]
-            if v == 0.0:
-                return lambda rng: (rng.standard_normal((n, config.p)), theta0)
-        model = SpikedModel(p=config.p, sigma=1.0, v=v, rate=SpikeRate.exponent(3), theta1=theta1)
-        family = RadialFamily.gaussian()
-    return lambda rng: (sample(model, n, family, rng), theta0)
-
-
-def _replicate_stats(
-    config: ExperimentConfig, draw, rng, tests: list[tuple[str, int]]
-) -> dict[str, float]:
-    """The statistics ``tests`` lists (see ``_tests_for_cell``), on one
-    replicate ``draw`` (see ``_cell_draw``) takes from ``rng``.  A
-    ``*_pseudo`` test follows the test it corrects, and κ̂ is computed
-    once, only when one is listed."""
-    X, theta0 = draw(rng)
+def _replicate_stats(config: ExperimentConfig, cell: _Cell, rng) -> dict[str, float]:
+    """The statistics ``cell.tests`` lists, on the replicate ``cell.draw``
+    takes from ``rng``.  A ``*_pseudo`` test follows the test it corrects,
+    and κ̂ is computed once, only when one is listed."""
+    X, theta0 = cell.draw(rng)
     s = summarize(X)
     out = {}
     kappa_hat = None
-    for name, _ in tests:
+    for name, _ in cell.tests:
         if name == "anderson":
             out[name] = anderson_statistic(s, theta0, 1)
         elif name == "hpv":
@@ -341,20 +356,18 @@ def _replicate_stats(
 def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
     """Rejection counts over replicates [lo, hi) of one cell."""
     cell = _cells_for(config)[cell_index]
-    tests = _tests_for_cell(config, cell)
-    draw = _cell_draw(config, cell)
     crits = np.array(
-        [[chi2_quantile(1.0 - a, df) for a in config.alphas] for _, df in tests]
+        [[chi2_quantile(1.0 - a, df) for a in config.alphas] for _, df in cell.tests]
     )
-    counts = np.zeros((len(tests), len(config.alphas)), dtype=np.int64)
+    counts = np.zeros((len(cell.tests), len(config.alphas)), dtype=np.int64)
     degenerate = 0
     for rep in range(lo, hi):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
         try:
-            stats = _replicate_stats(config, draw, rng, tests)
+            stats = _replicate_stats(config, cell, rng)
             # ``nan > crit`` is False: a non-finite or negative statistic
             # must never pass as a non-rejection.
-            values = np.array([_nonnegative(stats[name]) for name, _ in tests])
+            values = np.array([_nonnegative(stats[name]) for name, _ in cell.tests])
         except DegeneracyError:
             degenerate += 1
             continue
@@ -484,6 +497,10 @@ def _run_cells(config: ExperimentConfig):
     return cells, results, capped
 
 
+def _row(config: ExperimentConfig, cell: _Cell, test: str, alpha, freq, se, M: int) -> CellRow:
+    return CellRow(config.experiment, cell.columns, test, alpha, freq, se, M, config.seed)
+
+
 def _freq_rows(config: ExperimentConfig, cells, results) -> tuple[list[CellRow], list]:
     rows: list[CellRow] = []
     degenerate = []
@@ -491,25 +508,12 @@ def _freq_rows(config: ExperimentConfig, cells, results) -> tuple[list[CellRow],
         counts, degen = results[ci]
         valid = config.M - degen
         if degen:
-            degenerate.append((_cell_label(config, cell), degen))
-        tests = _tests_for_cell(config, cell)
-        columns = _cell_columns(config, cell)
-        for ti, (name, _) in enumerate(tests):
+            degenerate.append((cell.label, degen))
+        for ti, (name, _) in enumerate(cell.tests):
             for ai, alpha in enumerate(config.alphas):
                 freq = counts[ti, ai] / valid if valid else float("nan")
                 se = math.sqrt(freq * (1.0 - freq) / valid) if valid else float("nan")
-                rows.append(
-                    CellRow(
-                        experiment=config.experiment,
-                        cell=columns,
-                        test=name,
-                        alpha=alpha,
-                        freq=freq,
-                        se=se,
-                        M=valid,
-                        seed=config.seed,
-                    )
-                )
+                rows.append(_row(config, cell, name, alpha, freq, se, valid))
     return rows, degenerate
 
 
@@ -518,47 +522,24 @@ def _power_prediction_rows(config: ExperimentConfig, cells) -> list[CellRow]:
 
     rows = []
     for cell in cells:
-        tau = _tau_norm(cell["k"])
-        columns = _cell_columns(config, cell)
+        tau = _tau_norm(cell.value)
         for name, df, ncp in (
             ("hpv_asymptotic", config.p - 1, ncp_hpv_iii(config.v, tau)),
             ("oracle_asymptotic", config.p, ncp_oracle_iii(config.v, tau)),
         ):
             for alpha in config.alphas:
-                rows.append(
-                    CellRow(
-                        experiment=config.experiment,
-                        cell=columns,
-                        test=name,
-                        alpha=alpha,
-                        freq=asymptotic_power(df, ncp, alpha),
-                        se=0.0,
-                        M=0,
-                        seed=config.seed,
-                    )
-                )
+                freq = asymptotic_power(df, ncp, alpha)
+                rows.append(_row(config, cell, name, alpha, freq, 0.0, 0))
     return rows
 
 
 def _limit_law_rows(config: ExperimentConfig, cells) -> list[CellRow]:
     rows = []
     for ci, cell in enumerate(cells):
-        columns = _cell_columns(config, cell)
         for alpha in config.alphas:
             rng = make_rng(np.random.SeedSequence((config.seed, ci, 2**32)))
-            est = type1_risk_iii(config.p, cell["v"], alpha, config.limit_M, rng)
-            rows.append(
-                CellRow(
-                    experiment=config.experiment,
-                    cell=columns,
-                    test="anderson_limit",
-                    alpha=alpha,
-                    freq=est.risk,
-                    se=est.se,
-                    M=est.M,
-                    seed=config.seed,
-                )
-            )
+            est = type1_risk_iii(config.p, cell.value, alpha, config.limit_M, rng)
+            rows.append(_row(config, cell, "anderson_limit", alpha, est.risk, est.se, est.M))
     return rows
 
 

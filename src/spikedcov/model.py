@@ -115,10 +115,10 @@ class SpikedModel:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("p must be at least 2")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.v > 0:
-            raise ValueError("v must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0 < self.v < math.inf:
+            raise ValueError("v must be positive and finite")
         theta1 = _check_unit(self.theta1, "theta1")
         if theta1.shape[0] != self.p:
             raise ValueError("theta1 must have length p")

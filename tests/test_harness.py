@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from spikedcov import harness
+from spikedcov.cli import main
 from spikedcov.harness import (
     ExperimentConfig,
     run_experiment,
@@ -165,6 +167,23 @@ class TestPoolWorkers:
         assert "blas_threads: library default (no OpenBLAS found)" in result.to_text()
 
 
+# Grids that no replicate could run, each with one bad value.
+UNRUNNABLE_GRIDS = [
+    ("highdim", {"cgrid": (-1.0,)}),
+    ("highdim", {"cgrid": (0.5, math.nan)}),
+    ("highdim", {"cgrid": (math.inf,)}),
+    ("regime3", {"vgrid": (math.inf,)}),
+    ("regime3", {"vgrid": (0.0, 2.0, -1.0)}),
+    ("null", {"p": 10, "n": 10}),
+    ("power", {"p": 10, "n": 10}),
+    ("regime3", {"p": 10, "n": 10}),
+    ("null", {"ells": (0, 7)}),
+    ("null", {"v": 0.0}),
+    ("power", {"v": -1.0}),
+    ("null", {"v": math.inf}),
+]
+
+
 class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
@@ -196,6 +215,28 @@ class TestConfig:
             ExperimentConfig(experiment="power", ks=ks)
         # Only the power grid reads ks.
         ExperimentConfig(experiment="null", ks=ks)
+
+    @pytest.mark.parametrize(
+        "experiment, settings",
+        UNRUNNABLE_GRIDS,
+        ids=[f"{kind}-{settings}" for kind, settings in UNRUNNABLE_GRIDS],
+    )
+    def test_grid_that_cannot_run_is_refused_before_any_replicate(
+        self, experiment, settings, monkeypatch, tmp_path
+    ):
+        def no_chunk(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harness, "_chunk_counts", no_chunk)
+        with pytest.raises(ValueError):
+            ExperimentConfig(experiment=experiment, **settings)
+        args = ["simulate", "--experiment", experiment, "--out", str(tmp_path / "grid")]
+        for key, value in settings.items():
+            raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            args += ["--set", f"{key}={raw}"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_tau_norm_chord_length(self):
         assert _tau_norm(0) == 0.0
@@ -339,7 +380,7 @@ class TestHighDim:
     def test_non_finite_statistic_counted_as_degenerate(self, monkeypatch):
         calls = iter([float("nan"), math.inf, 1e9, 0.0])
 
-        def fake_stats(config, draw, rng, tests):
+        def fake_stats(config, cell, rng):
             return {"anderson": 0.0, "hpv": next(calls)}
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
@@ -355,7 +396,7 @@ class TestHighDim:
         # -5 and -1e-6 are not rounding; -1e-15 is, and counts as 0
         calls = iter([-5.0, -1e-6, -1e-15, 1e9, 0.0])
 
-        def fake_stats(config, draw, rng, tests):
+        def fake_stats(config, cell, rng):
             return {"anderson": 0.0, "hpv": next(calls)}
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)

@@ -117,6 +117,13 @@ class TestSpikedModel:
                     p=3, sigma=1.0, v=1.0, rate=SpikeRate.constant(), theta1=[bad, 0.0, 0.0]
                 )
 
+    @pytest.mark.parametrize("field", ["sigma", "v"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -np.inf])
+    def test_scale_and_spike_must_be_positive_and_finite(self, field, bad):
+        values = {"sigma": 1.0, "v": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SpikedModel(p=3, rate=SpikeRate.constant(), theta1=unit(3), **values)
+
 
 def reference_sample(model, n, family, rng):
     """``sample`` written with fresh arrays: G + (Gθ₁)(spike·θ₁)ᵀ, scaled,
