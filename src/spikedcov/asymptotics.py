@@ -49,6 +49,13 @@ REGIMES = ("i", "ii", "iii", "iv")
 # random-stream layout: changing it reshuffles draws for a given seed.
 _BLOCK = 32768
 
+# Largest p at which the limit law's top eigenvalue comes from the batched
+# kernel (_top_eigenvalue_kernel) rather than one LAPACK call per matrix;
+# measured in BENCH_limit_law.json.  Matrices per kernel pass: a
+# (10, 10, 2048) float stack is 1.6 MB, the size of an L2 cache.
+_KERNEL_MAX_P = 24
+_SUB_BATCH = 2048
+
 
 @dataclass(frozen=True)
 class EigenvectorFrame:
@@ -190,8 +197,132 @@ def _top_gap_norm2(Z: np.ndarray) -> np.ndarray:
     Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² without the eigenvectors.
     """
     col = Z[:, :, 0].copy()
-    col[:, 0] -= np.linalg.eigvalsh(Z)[:, -1]
+    col[:, 0] -= _top_eigenvalue(Z)
     return (col * col).sum(axis=1)
+
+
+def _top_eigenvalue(Z: np.ndarray) -> np.ndarray:
+    """ℓ₁ of each symmetric matrix of an (m, p, p) stack, p ≥ 2.
+
+    Up to ``_KERNEL_MAX_P`` the batched kernel below works through the
+    stack ``_SUB_BATCH`` matrices at a time; above it, one LAPACK call per
+    matrix is faster.
+    """
+    m, p, _ = Z.shape
+    if p > _KERNEL_MAX_P:
+        return np.linalg.eigvalsh(Z)[:, -1]
+    top = np.empty(m)
+    for lo in range(0, m, _SUB_BATCH):
+        top[lo : lo + _SUB_BATCH] = _top_eigenvalue_kernel(Z[lo : lo + _SUB_BATCH])
+    return top
+
+
+def _top_eigenvalue_kernel(Z: np.ndarray) -> np.ndarray:
+    """ℓ₁ of each symmetric matrix of a (b, p, p) stack, p ≥ 2.
+
+    The batch goes on the last, contiguous axis, so every step is an
+    elementwise pass over rows of b values.  Every sum runs in a fixed
+    order, so a matrix's ℓ₁ does not depend on the batch around it.
+    Each matrix is first scaled by the power of two that brings its
+    largest entry into [1/2, 1).  The scaling is exact, and it keeps the
+    squares and quotients below in range whatever the magnitude of Z.
+    """
+    b, p, _ = Z.shape
+    _, expo = np.frexp(np.abs(Z).max(axis=(1, 2)))
+    A = np.empty((p, p, b))
+    np.ldexp(Z.transpose(1, 2, 0), -expo, out=A)
+    d, e2 = _householder_tridiagonal(A)
+    return np.ldexp(_newton_top_root(d, e2), expo)
+
+
+def _householder_tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce each matrix of a symmetric (p, p, b) stack to tridiagonal
+    form in place; return the diagonal (p, b) and the squared
+    off-diagonal (p − 1, b)."""
+    p, _, b = A.shape
+    e2 = np.empty((p - 1, b))
+    vq = np.empty((p - 1, p - 1, b))
+    update = np.empty((p - 1, p - 1, b))
+    for k in range(p - 2):
+        n = p - 1 - k
+        # Column k below the diagonal, x, becomes the reflector
+        # v = x + sign(x₀)‖x‖e₁ in place.  H = I − β v vᵀ with
+        # β = 2/vᵀv = 1/(‖x‖ |v₀|) maps x to −sign(x₀)‖x‖e₁, so the
+        # off-diagonal entry it leaves has square ‖x‖².
+        v = A[k + 1 :, k]
+        norm2 = e2[k]
+        np.multiply(v[0], v[0], out=norm2)
+        for i in range(1, n):
+            norm2 += v[i] * v[i]
+        s = np.copysign(np.sqrt(norm2), v[0])
+        v[0] += s
+        sv = s * v[0]
+        beta = np.divide(1.0, sv, out=np.zeros(b), where=sv != 0)
+        # H A₂₂ H = A₂₂ − v qᵀ − q vᵀ with y = β A₂₂ v (built in q) and
+        # q = y − (β/2)(vᵀy) v; the update is summed symmetrically, so
+        # A₂₂ stays exactly symmetric.
+        A22 = A[k + 1 :, k + 1 :]
+        q = A22[0] * v[0]
+        for j in range(1, n):
+            q += A22[j] * v[j]
+        q *= beta
+        c = v[0] * q[0]
+        for j in range(1, n):
+            c += v[j] * q[j]
+        c *= 0.5 * beta
+        q -= c * v
+        outer = np.multiply(v[:, None], q[None, :], out=vq[:n, :n])
+        A22 -= np.add(outer, outer.swapaxes(0, 1), out=update[:n, :n])
+    e2[p - 2] = A[p - 1, p - 2] * A[p - 1, p - 2]
+    return A.reshape(p * p, b)[:: p + 1], e2
+
+
+def _newton_top_root(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric tridiagonal matrix with
+    diagonal d (p, b) and squared off-diagonal e2 (p − 1, b).
+
+    Newton on f(x) = det(T − xI) = Π qᵢ, with the Sturm ratios
+    q₁ = d₁ − x, qᵢ = dᵢ − x − e²ᵢ₋₁/qᵢ₋₁ and uᵢ = qᵢ'/qᵢ, where
+    qᵢ' = −1 + (e²ᵢ₋₁/qᵢ₋₁) uᵢ₋₁; the Newton step is f/f' = 1/Σ uᵢ.  It
+    starts from the Gershgorin bound max dᵢ + |eᵢ₋₁| + |eᵢ|.  Above the
+    largest root f has no root, so each step is positive, smaller than
+    the last, and lands above ℓ₁.  A matrix leaves the active set once
+    rounding stops its step from shrinking, or makes it non-positive or
+    NaN; it keeps the last point reached.
+    """
+    p = d.shape[0]
+    e = np.sqrt(e2)
+    bound = d.copy()
+    bound[:-1] += e
+    bound[1:] += e
+    x = bound.max(axis=0)
+    top = x.copy()
+    active = np.arange(x.size)
+    last = np.full(x.size, np.inf)
+    # A qᵢ reaches 0 (or the step turns NaN) only where x has met ℓ₁ to
+    # rounding: the matrix is done, and its quotients are not used.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.size:
+            q = d[0] - x
+            u = -1.0 / q
+            s = u.copy()
+            for i in range(1, p):
+                t = e2[i - 1] / q
+                np.subtract(d[i], x, out=q)
+                q -= t
+                u *= t
+                u -= 1.0
+                u /= q
+                s += u
+            step = np.divide(1.0, s, out=s)
+            going = (step > 0.0) & (step < last)
+            if not going.all():
+                active, d, e2 = active[going], d[:, going], e2[:, going]
+                x, step = x[going], step[going]
+            x = x - step
+            top[active] = x
+            last = step
+    return top
 
 
 def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndarray:
@@ -219,6 +350,8 @@ def type1_risk_iii(
     construction in blocks; it raises ValueError when κ is non-finite or
     below −2/(p+2).  A negative or non-finite v raises ValueError too.
     """
+    if p < 2:
+        raise ValueError("p must be at least 2")
     if M < 1:
         raise ValueError("M must be at least 1")
     _check_v(v)
@@ -265,7 +398,7 @@ def eigen_limit_sample(
     if regime in ("i", "ii"):
         scale = (1.0 + v) if regime == "i" else 1.0
         l1 = scale * Zf[0, 0]
-        trailing = np.sort(np.linalg.eigvalsh(Zf[1:, 1:]))[::-1]
+        trailing = np.linalg.eigvalsh(Zf[1:, 1:])[::-1]
         return np.concatenate(([l1], trailing)), None
     A = Zf.copy()
     A[0, 0] += v

@@ -280,6 +280,8 @@ def _highdim_cell(n: int, c: float) -> _Cell:
     """Σ = I_p + θ₀θ₀ᵀ, a fixed unit spike, with p = c·n (at least 2)."""
     if not 0.0 < c < math.inf:
         raise ValueError("highdim grid cgrid values must be positive and finite")
+    if not math.isfinite(c * n):
+        raise ValueError(f"highdim grid cgrid value {c} gives p = c*n beyond the float range")
     pc = max(2, int(round(c * n)))
     label, columns = f"c={_fmt(c)}", (("c", _fmt(c)), ("p", str(pc)))
     if pc >= n:

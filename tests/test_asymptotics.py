@@ -80,6 +80,93 @@ class TestLimitLawIdentity:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+def _kernel_bound(Z: np.ndarray) -> np.ndarray:
+    """8·ε·‖Z‖_F per matrix of a stack, without overflow or underflow."""
+    scale = np.abs(Z).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    Y = Z / scale[:, None, None]
+    return 8.0 * np.finfo(float).eps * scale * np.sqrt((Y * Y).sum(axis=(1, 2)))
+
+
+class TestTopEigenvalueKernel:
+    """The batched ℓ₁ kernel behind the limit law, against LAPACK."""
+
+    P_RANGE = range(2, asymptotics._KERNEL_MAX_P + 1)
+
+    @pytest.mark.parametrize("p", P_RANGE)
+    def test_matches_eigvalsh(self, p):
+        for v in (0.0, 2.0, 8.0):
+            # κ = −0.1 is below the floor −2/(p+2) from p = 19 on.
+            for kappa in (0.0, 0.5, max(-0.1, min_kappa(p))):
+                Z = asymptotics._elliptical_block(p, kappa, 300, make_rng(p))
+                Z[:, 0, 0] += v
+                got = asymptotics._top_eigenvalue_kernel(Z)
+                err = np.abs(got - np.linalg.eigvalsh(Z)[:, -1])
+                assert np.all(err <= _kernel_bound(Z)), (v, kappa, np.max(err / _kernel_bound(Z)))
+
+    @pytest.mark.parametrize("p", [2, 3, 10, asymptotics._KERNEL_MAX_P])
+    def test_structured_matrices(self, p):
+        rng = np.random.default_rng(p)
+        diagonal = np.diag(rng.standard_normal(p))
+        # The top entry last, so the Sturm ratios before it stay nonzero.
+        diagonal_top_last = np.diag(np.arange(p, dtype=float))
+        exact = [
+            (diagonal, diagonal.max()),
+            (diagonal_top_last, p - 1.0),
+            (2.5 * np.eye(p), 2.5),
+            (-3.0 * np.eye(p), -3.0),
+            (np.zeros((p, p)), 0.0),
+        ]
+        got = asymptotics._top_eigenvalue_kernel(np.array([Z for Z, _ in exact]))
+        assert got.tolist() == [top for _, top in exact]
+
+        G = rng.standard_normal((p, p))
+        goe = (G + G.T) / SQRT2
+        h = p // 2
+        # Block-diagonal matrices reduce to a reducible tridiagonal; the
+        # top block comes first in one and last in the other.
+        upper_top, lower_top = goe.copy(), goe.copy()
+        upper_top[:h, h:] = upper_top[h:, :h] = 0.0
+        lower_top[:h, h:] = lower_top[h:, :h] = 0.0
+        upper_top[:h, :h] += 10.0 * np.eye(h)
+        lower_top[h:, h:] += 10.0 * np.eye(p - h)
+        ones = np.ones((p, p))
+        spike = np.zeros((p, p))
+        spike[0, 0] = 4.0
+        others = [upper_top, lower_top, ones, spike]
+        others += [scale * goe for scale in (1e150, 1e-150, 1e300, 1e-300)]
+        Z = np.array(others)
+        err = np.abs(asymptotics._top_eigenvalue_kernel(Z) - np.linalg.eigvalsh(Z)[:, -1])
+        assert np.all(err <= _kernel_bound(Z)), err / _kernel_bound(Z)
+
+    @pytest.mark.parametrize("p", [2, 3, 10, asymptotics._KERNEL_MAX_P])
+    def test_independent_of_batch_size(self, p):
+        # With one matrix in the batch, numpy would sum along a matrix row
+        # (then contiguous) pairwise and change its bits; the kernel's
+        # sums run in a fixed order whatever the batch.
+        Z = asymptotics._elliptical_block(p, 0.0, asymptotics._BLOCK, make_rng(40 + p))
+        full = asymptotics._top_eigenvalue(Z)
+        sub = asymptotics._SUB_BATCH
+        for m in (1, 2, sub - 1, sub + 1):
+            np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[:m]), full[:m])
+        for i in (sub - 1, sub, asymptotics._BLOCK - 1):
+            np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[i : i + 1]), full[i : i + 1])
+
+    def test_block_equals_successive_draws(self):
+        for p in (3, 10):
+            block = asymptotics._qa_limit_block(p, 2.0, 0.0, 50, make_rng(41))
+            rng = make_rng(41)
+            one_by_one = [qa_limit_sample(p, 2.0, rng=rng) for _ in range(50)]
+            assert block.tolist() == one_by_one
+
+    def test_lapack_above_crossover(self):
+        p = asymptotics._KERNEL_MAX_P + 1
+        Z = asymptotics._elliptical_block(p, 0.0, 20, make_rng(42))
+        np.testing.assert_array_equal(
+            asymptotics._top_eigenvalue(Z), np.linalg.eigvalsh(Z)[:, -1]
+        )
+
+
 class TestQaLimitSampler:
     def test_requires_rng(self):
         with pytest.raises(ValueError):
@@ -130,6 +217,11 @@ class TestRiskEstimators:
     def test_invalid_M(self):
         with pytest.raises(ValueError):
             type1_risk_iii(2, 0.0, 0.05, 0, make_rng(0))
+
+    def test_invalid_p(self):
+        # p = 1 used to fail only in chi2_quantile, on its df
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            type1_risk_iii(1, 0.0, 0.05, 100, make_rng(0))
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf, min_kappa(3) - 1e-8])
     def test_invalid_kappa(self, kappa):

@@ -229,6 +229,17 @@ class TestSimulateCommand:
         assert result.exit_code != 0
         assert "ten" in result.output
 
+    def test_highdim_cgrid_beyond_float_range_exits_cleanly(self, runner, tmp_path):
+        # c·n = 2e309 used to raise OverflowError, which the command does
+        # not catch, so it ended in a traceback
+        result = runner.invoke(
+            main,
+            ["simulate", "--experiment", "highdim", "--set", "cgrid=1e307", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert "Error: highdim grid cgrid value 1e+307" in result.output
+
     def test_family_parsing(self, runner, tmp_path):
         out = tmp_path / "fam"
         result = runner.invoke(

@@ -172,6 +172,7 @@ UNRUNNABLE_GRIDS = [
     ("highdim", {"cgrid": (-1.0,)}),
     ("highdim", {"cgrid": (0.5, math.nan)}),
     ("highdim", {"cgrid": (math.inf,)}),
+    ("highdim", {"cgrid": (1e307,)}),
     ("regime3", {"vgrid": (math.inf,)}),
     ("regime3", {"vgrid": (0.0, 2.0, -1.0)}),
     ("null", {"p": 10, "n": 10}),
