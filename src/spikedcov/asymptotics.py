@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .distributions import Rng, chi2_quantile, min_kappa, noncentral_chi2_cdf
+from .linalg import _check_unit
 from .statistics import SampleSummary
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "sample_z_elliptical",
     "qa_limit_sample",
     "type1_risk_iii",
-    "type1_risk_iv",
     "eigen_limit_sample",
     "joint_eigenvalue_density",
     "ncp_regime12",
@@ -45,16 +45,15 @@ __all__ = [
 
 REGIMES = ("i", "ii", "iii", "iv")
 
-# Replicates per block in the vectorized risk estimators.  Part of the
-# random-stream layout: changing it reshuffles draws for a given seed.
-_BLOCK = 32768
+# Matrices per block of the risk estimator: 2048 up to p = 10, then as
+# many as fill 1.6 MB per stacked array.  A draw does not depend on the
+# block it comes in, so the block bounds memory and keeps the stream.
+_BLOCK = 2048
 
 # Largest p at which the limit law's top eigenvalue comes from the batched
 # kernel (_top_eigenvalue_kernel) rather than one LAPACK call per matrix;
-# measured in BENCH_limit_law.json.  Matrices per kernel pass: a
-# (10, 10, 2048) float stack is 1.6 MB, the size of an L2 cache.
+# measured in BENCH_limit_law.json.
 _KERNEL_MAX_P = 24
-_SUB_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,11 @@ def _check_v(v: float) -> None:
         raise ValueError(f"v must be finite and nonnegative, got {v}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
     """m independent draws of Z_f as an (m, p, p) stack; see
     :func:`sample_z_elliptical`.
@@ -188,33 +192,13 @@ def qa_limit_sample(p: int, v: float, kappa: float = 0.0, rng: Optional[Rng] = N
     return float(_qa_limit_block(p, v, kappa, 1, rng)[0])
 
 
-def _top_gap_norm2(Z: np.ndarray) -> np.ndarray:
-    """‖(Z − ℓ₁I)e₁‖² for each symmetric Z of an (m, p, p) stack, ℓ₁ its
-    largest eigenvalue.
-
-    Expanding e₁ in the eigenvectors w_j of Z gives
-    (Z − ℓ₁I)e₁ = Σ_j (ℓ_j − ℓ₁) w_{j1} w_j, so this is the limit-law sum
-    Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² without the eigenvectors.
-    """
-    col = Z[:, :, 0].copy()
-    col[:, 0] -= _top_eigenvalue(Z)
-    return (col * col).sum(axis=1)
-
-
 def _top_eigenvalue(Z: np.ndarray) -> np.ndarray:
-    """ℓ₁ of each symmetric matrix of an (m, p, p) stack, p ≥ 2.
-
-    Up to ``_KERNEL_MAX_P`` the batched kernel below works through the
-    stack ``_SUB_BATCH`` matrices at a time; above it, one LAPACK call per
-    matrix is faster.
-    """
-    m, p, _ = Z.shape
-    if p > _KERNEL_MAX_P:
+    """ℓ₁ of each symmetric matrix of an (m, p, p) stack, p ≥ 2: the
+    batched kernel below up to ``_KERNEL_MAX_P``, one LAPACK call per
+    matrix above it, where that is faster."""
+    if Z.shape[1] > _KERNEL_MAX_P:
         return np.linalg.eigvalsh(Z)[:, -1]
-    top = np.empty(m)
-    for lo in range(0, m, _SUB_BATCH):
-        top[lo : lo + _SUB_BATCH] = _top_eigenvalue_kernel(Z[lo : lo + _SUB_BATCH])
-    return top
+    return _top_eigenvalue_kernel(Z)
 
 
 def _top_eigenvalue_kernel(Z: np.ndarray) -> np.ndarray:
@@ -229,20 +213,23 @@ def _top_eigenvalue_kernel(Z: np.ndarray) -> np.ndarray:
     """
     b, p, _ = Z.shape
     _, expo = np.frexp(np.abs(Z).max(axis=(1, 2)))
-    A = np.empty((p, p, b))
+    # One allocation for A and the reduction's two work arrays: as three
+    # ~1.5 MB arrays, glibc returned them to the system after each block
+    # and the next faulted them in again (0.7 faults per draw at p = 10).
+    work = np.empty((p * p + 2 * (p - 1) ** 2) * b)
+    A = work[: p * p * b].reshape(p, p, b)
     np.ldexp(Z.transpose(1, 2, 0), -expo, out=A)
-    d, e2 = _householder_tridiagonal(A)
+    d, e2 = _householder_tridiagonal(A, work[p * p * b :].reshape(2, p - 1, p - 1, b))
     return np.ldexp(_newton_top_root(d, e2), expo)
 
 
-def _householder_tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _householder_tridiagonal(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce each matrix of a symmetric (p, p, b) stack to tridiagonal
-    form in place; return the diagonal (p, b) and the squared
-    off-diagonal (p − 1, b)."""
+    form in place, with ``work`` a (2, p − 1, p − 1, b) scratch array;
+    return the diagonal (p, b) and the squared off-diagonal (p − 1, b)."""
     p, _, b = A.shape
     e2 = np.empty((p - 1, b))
-    vq = np.empty((p - 1, p - 1, b))
-    update = np.empty((p - 1, p - 1, b))
+    vq, update = work
     for k in range(p - 2):
         n = p - 1 - k
         # Column k below the diagonal, x, becomes the reflector
@@ -326,9 +313,17 @@ def _newton_top_root(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
 
 
 def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndarray:
+    """m draws of :func:`qa_limit_sample`, equal to m successive calls.
+
+    Expanding e₁ in the eigenvectors w_j of Z gives
+    (Z − ℓ₁I)e₁ = Σ_j (ℓ_j − ℓ₁) w_{j1} w_j, so ‖(Z − ℓ₁I)e₁‖² is the
+    limit-law sum Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² without the eigenvectors.
+    """
     Z = _elliptical_block(p, kappa, m, rng)
     Z[:, 0, 0] += v
-    return _top_gap_norm2(Z) / (1.0 + kappa)
+    col = Z[:, :, 0].copy()
+    col[:, 0] -= _top_eigenvalue(Z)
+    return (col * col).sum(axis=1) / (1.0 + kappa)
 
 
 class RiskEstimate(NamedTuple):
@@ -344,33 +339,28 @@ def type1_risk_iii(
 ) -> RiskEstimate:
     """Approximate asymptotic type-I risk of the Anderson test on the
     contiguity boundary (r_n = 1/√n, spike strength v), with binomial SE.
+    v = 0 gives the risk below the contiguity rate (vanishing spike).
 
     The optional ``kappa`` switches to the elliptical limit law of the
     kurtosis-corrected statistic, drawn through :func:`sample_z_elliptical`'s
     construction in blocks; it raises ValueError when κ is non-finite or
-    below −2/(p+2).  A negative or non-finite v raises ValueError too.
+    below −2/(p+2).  A negative or non-finite v, or alpha outside (0, 1),
+    raises ValueError too.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     if M < 1:
         raise ValueError("M must be at least 1")
     _check_v(v)
+    _check_alpha(alpha)
     crit = chi2_quantile(1.0 - alpha, p - 1)
+    block = max(1, min(_BLOCK, _BLOCK * 100 // (p * p)))
     hits = 0
-    done = 0
-    while done < M:
-        m = min(_BLOCK, M - done)
-        draws = _qa_limit_block(p, v, kappa, m, rng)
+    for done in range(0, M, block):
+        draws = _qa_limit_block(p, v, kappa, min(block, M - done), rng)
         hits += int(np.count_nonzero(draws > crit))
-        done += m
     risk = hits / M
     return RiskEstimate(risk=risk, se=math.sqrt(risk * (1.0 - risk) / M), M=M)
-
-
-def type1_risk_iv(p: int, alpha: float, M: int, rng: Rng) -> RiskEstimate:
-    """Approximate asymptotic type-I risk below the contiguity rate
-    (vanishing spike); equals :func:`type1_risk_iii` at v = 0."""
-    return type1_risk_iii(p, 0.0, alpha, M, rng)
 
 
 def eigen_limit_sample(
@@ -443,10 +433,11 @@ def joint_eigenvalue_density(ell: np.ndarray, kappa: float = 0.0) -> float:
 def ncp_regime12(v: float, delta: int, tau_norm: float) -> float:
     """Noncentrality parameter of the optimal tests above the boundary:
     (v²/(1+δv)) ‖τ‖²."""
+    _check_v(v)
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
-    if tau_norm < 0:
-        raise ValueError("tau_norm must be nonnegative")
+    if not 0.0 <= tau_norm < math.inf:
+        raise ValueError(f"tau_norm must be finite and nonnegative, got {tau_norm}")
     return v**2 / (1.0 + delta * v) * tau_norm**2
 
 
@@ -462,6 +453,7 @@ def ncp_hpv_iii(v: float, tau_norm: float) -> float:
     """Boundary-regime noncentrality of the Gram-Schmidt test:
     (v²/16) t (4−t) (2−t)² with t = ‖τ‖².  Vanishes at t = 2
     (orthogonal alternatives are asymptotically invisible)."""
+    _check_v(v)
     t = _tau_squared(tau_norm)
     return v**2 / 16.0 * t * (4.0 - t) * (2.0 - t) ** 2
 
@@ -469,12 +461,15 @@ def ncp_hpv_iii(v: float, tau_norm: float) -> float:
 def ncp_oracle_iii(v: float, tau_norm: float) -> float:
     """Boundary-regime noncentrality of the oracle test:
     (v²/16) t (4−t) (4 − 2t + t²/2) with t = ‖τ‖²."""
+    _check_v(v)
     t = _tau_squared(tau_norm)
     return v**2 / 16.0 * t * (4.0 - t) * (4.0 - 2.0 * t + 0.5 * t**2)
 
 
 def asymptotic_power(df: int, ncp: float, alpha: float) -> float:
-    """Power of a chi-square(df) test at level alpha under noncentrality ncp."""
+    """Power of a chi-square(df) test at level alpha under noncentrality ncp.
+    Raises ValueError when alpha lies outside (0, 1)."""
+    _check_alpha(alpha)
     crit = chi2_quantile(1.0 - alpha, df)
     return 1.0 - noncentral_chi2_cdf(crit, df, ncp)
 
@@ -491,8 +486,9 @@ def local_experiment(
     Δ_{n,δ} = (√n v/(1+δv)) (I − θ₀θ₀ᵀ)(S − Σ_n)θ₀ and
     Γ_δ = (v²/(1+δv)) (I − θ₀θ₀ᵀ).  The quadratic form ΔᵀΓ⁻Δ (pseudo-
     inverse on the orthocomplement) reproduces the q_delta statistic.
+    Raises ValueError unless theta0 is a unit vector of length p.
     """
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = _check_unit(theta0, "theta0", s.p)
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     sigma_n = np.asarray(sigma_n, dtype=float)

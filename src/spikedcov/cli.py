@@ -323,10 +323,16 @@ def cmd_banknote(data_path, alpha):
         click.echo("non-standard dimension: skipping the θ₂ hypothesis test")
         return
     rows = _test_rows(s, theta, 2, alpha)
+    # The leave-one-out p-values come before any table row, so bad data
+    # prints the error alone after the summary lines.
+    if X is not None:
+        try:
+            pvalues = np.array(run_leave_one_out(X, theta, 2))
+        except (DegeneracyError, ValueError) as exc:
+            raise click.ClickException(str(exc))
     click.echo(f"hypothesis: theta2 = (1,1,0,0)/sqrt(2), j=2, alpha={alpha:g}")
     _print_outcome_table(rows)
     if X is not None:
-        pvalues = np.array(run_leave_one_out(X, theta, 2))
         click.echo("leave-one-out p-values:")
         for name, pv in zip(("anderson", "hpv"), pvalues.T):
             click.echo(

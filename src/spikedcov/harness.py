@@ -583,11 +583,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def run_leave_one_out(X: np.ndarray, theta0: np.ndarray, j: int = 1) -> list[tuple[float, float]]:
     """Leave-one-out stability check: for each observation i, recompute
     both tests on the sample without row i.  Returns n (Anderson p-value,
-    HPV p-value) pairs."""
+    HPV p-value) pairs.  Raises ValueError for n < p + 2, where every
+    sample left has a singular covariance."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-d data matrix")
     n, p = X.shape
+    if n < p + 2:
+        raise ValueError(f"leave-one-out needs n >= p + 2 observations, got n={n}, p={p}")
     out = []
     for i in range(n):
         Xi = np.delete(X, i, axis=0)

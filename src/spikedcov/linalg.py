@@ -35,6 +35,17 @@ class DegeneracyError(ValueError):
     Gram-Schmidt projections)."""
 
 
+def _check_unit(theta: np.ndarray, name: str, p: int | None = None) -> np.ndarray:
+    """``theta`` as a float vector, checked to have shape (p,) (any
+    length when p is None) and norm 1 within 1e-10; ValueError otherwise."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or p not in (None, theta.shape[0]):
+        raise ValueError(f"{name} must be a vector" + ("" if p is None else f" of length p={p}"))
+    if not abs(np.linalg.norm(theta) - 1.0) <= 1e-10:
+        raise ValueError(f"{name} must be a unit vector (within 1e-10)")
+    return theta
+
+
 def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -163,9 +174,7 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
         built so far (``|R_kk| < 1e-12``); the message identifies the
         first offending position.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    if not abs(np.linalg.norm(theta0) - 1.0) <= 1e-10:
-        raise ValueError("theta0 must be a unit vector (within 1e-10)")
+    theta0 = _check_unit(theta0, "theta0")
     p = theta0.shape[0]
     vecs = np.asarray(eigvecs, dtype=float)
     if len(vecs) != p - 1:

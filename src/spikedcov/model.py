@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import Rng
+from .linalg import _check_unit
 
 __all__ = ["SpikeRate", "RadialFamily", "SpikedModel", "covariance_at", "sample", "kurtosis_of"]
 
@@ -91,15 +92,6 @@ class RadialFamily:
         return "gaussian" if self.kind == "gaussian" else f"t{self.nu:g}"
 
 
-def _check_unit(theta: np.ndarray, name: str) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
-    if not abs(np.linalg.norm(theta) - 1.0) <= 1e-10:
-        raise ValueError(f"{name} must be a unit vector (within 1e-10)")
-    return theta
-
-
 @dataclass(frozen=True)
 class SpikedModel:
     """Population model: dimension p, scale sigma, spike strength v,
@@ -119,10 +111,7 @@ class SpikedModel:
             raise ValueError("sigma must be positive and finite")
         if not 0 < self.v < math.inf:
             raise ValueError("v must be positive and finite")
-        theta1 = _check_unit(self.theta1, "theta1")
-        if theta1.shape[0] != self.p:
-            raise ValueError("theta1 must have length p")
-        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta1", _check_unit(self.theta1, "theta1", self.p))
         mu = np.zeros(self.p) if self.mu is None else np.asarray(self.mu, dtype=float)
         if mu.shape != (self.p,):
             raise ValueError("mu must have length p")

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile
-from .linalg import DegeneracyError, EigenSystem, gram_schmidt_complement, sym_eigen
+from .linalg import (
+    DegeneracyError,
+    EigenSystem,
+    _check_unit,
+    gram_schmidt_complement,
+    sym_eigen,
+)
 
 __all__ = [
     "SampleSummary",
@@ -119,15 +125,6 @@ def summary_from_covariance(S: np.ndarray, n: int) -> SampleSummary:
     return SampleSummary(n=n, mean=np.zeros(S.shape[0]), cov=S, eigen=eigen)
 
 
-def _check_theta0(s: SampleSummary, theta0: np.ndarray) -> np.ndarray:
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (s.p,):
-        raise ValueError(f"theta0 must have length p={s.p}")
-    if not abs(np.linalg.norm(theta0) - 1.0) <= 1e-10:
-        raise ValueError("theta0 must be a unit vector (within 1e-10)")
-    return theta0
-
-
 def _check_j(s: SampleSummary, j: int) -> int:
     if not 1 <= j <= s.p:
         raise ValueError(f"eigenvector index j must be in 1..{s.p}")
@@ -147,7 +144,7 @@ def anderson_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> floa
     Q = n (λ̂_j θ₀ᵀS⁻¹θ₀ + λ̂_j⁻¹ θ₀ᵀSθ₀ − 2), chi-square(p−1) under H0
     when the spike does not vanish asymptotically.
     """
-    theta0 = _check_theta0(s, theta0)
+    theta0 = _check_unit(theta0, "theta0", s.p)
     j = _check_j(s, j)
     lam_j = s.eigen.values[j - 1]
     quad_inv = float(theta0 @ s.eigen.inverse_apply(theta0))
@@ -167,7 +164,7 @@ def hpv_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> float:
 
     Chi-square(p−1) under H0 in every spike regime.
     """
-    theta0 = _check_theta0(s, theta0)
+    theta0 = _check_unit(theta0, "theta0", s.p)
     j = _check_j(s, j)
     lam = s.eigen.values
     others = np.arange(1, s.p)
@@ -208,7 +205,7 @@ def q_delta(s: SampleSummary, theta0: np.ndarray, v: float, delta: int) -> float
     delta is 1 when the spike is constant (r_n ≡ 1) and 0 whenever it
     vanishes (r_n → 0); requires the spike strength v to be known.
     """
-    theta0 = _check_theta0(s, theta0)
+    theta0 = _check_unit(theta0, "theta0", s.p)
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     if v < 0:
@@ -223,7 +220,7 @@ def oracle_statistic(s: SampleSummary, theta0: np.ndarray, sigma_n: np.ndarray) 
     Requires the true null covariance Σ_n; compare against chi-square
     with p (not p−1) degrees of freedom.
     """
-    theta0 = _check_theta0(s, theta0)
+    theta0 = _check_unit(theta0, "theta0", s.p)
     sigma_n = np.asarray(sigma_n, dtype=float)
     if sigma_n.shape != s.cov.shape:
         raise ValueError("sigma_n must match the sample covariance shape")

@@ -18,11 +18,10 @@ import pytest
 from scipy import stats as scipy_stats
 
 from spikedcov.asymptotics import (
-    _BLOCK,
     _qa_limit_block,
     asymptotic_power,
     sample_z_elliptical,
-    type1_risk_iv,
+    type1_risk_iii,
 )
 from spikedcov.distributions import chi2_cdf, chi2_quantile, make_rng
 from spikedcov.harness import ExperimentConfig, run_experiment
@@ -115,15 +114,11 @@ def test_criterion_02_anderson_oversize_below_boundary():
 def test_criterion_03_limit_law_risks():
     """Monte Carlo limiting risks match the known values of the
     non-chi-square null law."""
-    est_a = type1_risk_iv(2, 0.05, 100_000, make_rng(SEED))
-    est_b = type1_risk_iv(2, 0.001, 1_000_000, make_rng(SEED + 1))
-    est_c = type1_risk_iv(10, 0.05, 100_000, make_rng(SEED + 2))
-    rng = make_rng(SEED + 3)
-    M = 100_000
-    # Blocks draw the same values as successive qa_limit_sample calls.
-    draws = np.concatenate(
-        [_qa_limit_block(2, 0.0, 0.0, min(_BLOCK, M - lo), rng) for lo in range(0, M, _BLOCK)]
-    )
+    est_a = type1_risk_iii(2, 0.0, 0.05, 100_000, make_rng(SEED))
+    est_b = type1_risk_iii(2, 0.0, 0.001, 1_000_000, make_rng(SEED + 1))
+    est_c = type1_risk_iii(10, 0.0, 0.05, 100_000, make_rng(SEED + 2))
+    # One block draws the same values as successive qa_limit_sample calls.
+    draws = _qa_limit_block(2, 0.0, 0.0, 100_000, make_rng(SEED + 3))
     ks_stat, ks_p = scipy_stats.kstest(draws, lambda x: scipy_stats.chi2.cdf(x / 4.0, 1))
     ok_a = abs(est_a.risk - 0.327) <= 0.01
     ok_b = abs(est_b.risk - 0.10) <= 0.005
@@ -145,10 +140,11 @@ def test_criterion_04_p3_limit_mean():
     rng = make_rng(SEED + 4)
     total = 0.0
     M = 400_000
-    # Blocks draw the same values as successive qa_limit_sample calls;
-    # adding them one at a time, in order, keeps the mean bit for bit.
-    for lo in range(0, M, _BLOCK):
-        for draw in _qa_limit_block(3, 0.0, 0.0, min(_BLOCK, M - lo), rng).tolist():
+    # Blocks of any size draw the same values as successive
+    # qa_limit_sample calls; adding them one at a time, in order, keeps
+    # the mean bit for bit.
+    for _ in range(M // 20_000):
+        for draw in _qa_limit_block(3, 0.0, 0.0, 20_000, rng).tolist():
             total += draw
     mean = total / M
     ok = abs(mean - 49.0 / 6.0) <= 0.1

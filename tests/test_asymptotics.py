@@ -10,6 +10,7 @@ Distributional oracles used here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,8 @@ from spikedcov.asymptotics import (
     qa_limit_sample,
     sample_z_elliptical,
     type1_risk_iii,
-    type1_risk_iv,
 )
-from spikedcov.distributions import make_rng, min_kappa
+from spikedcov.distributions import chi2_quantile, make_rng, min_kappa
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
 from spikedcov.statistics import q_delta, summarize
 
@@ -144,20 +144,20 @@ class TestTopEigenvalueKernel:
         # With one matrix in the batch, numpy would sum along a matrix row
         # (then contiguous) pairwise and change its bits; the kernel's
         # sums run in a fixed order whatever the batch.
-        Z = asymptotics._elliptical_block(p, 0.0, asymptotics._BLOCK, make_rng(40 + p))
+        m = 3000
+        Z = asymptotics._elliptical_block(p, 0.0, m, make_rng(40 + p))
         full = asymptotics._top_eigenvalue(Z)
-        sub = asymptotics._SUB_BATCH
-        for m in (1, 2, sub - 1, sub + 1):
-            np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[:m]), full[:m])
-        for i in (sub - 1, sub, asymptotics._BLOCK - 1):
+        for k in (1, 2, 2047, 2049):
+            np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[:k]), full[:k])
+        for i in (2047, 2048, m - 1):
             np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[i : i + 1]), full[i : i + 1])
 
     def test_block_equals_successive_draws(self):
-        for p in (3, 10):
-            block = asymptotics._qa_limit_block(p, 2.0, 0.0, 50, make_rng(41))
+        for p, kappa in ((3, 0.0), (10, 0.0), (10, 0.5), (asymptotics._KERNEL_MAX_P + 1, 0.0)):
+            block = asymptotics._qa_limit_block(p, 2.0, kappa, 50, make_rng(41))
             rng = make_rng(41)
-            one_by_one = [qa_limit_sample(p, 2.0, rng=rng) for _ in range(50)]
-            assert block.tolist() == one_by_one
+            one_by_one = [qa_limit_sample(p, 2.0, kappa, rng=rng) for _ in range(50)]
+            assert block.tolist() == one_by_one, (p, kappa)
 
     def test_lapack_above_crossover(self):
         p = asymptotics._KERNEL_MAX_P + 1
@@ -203,7 +203,7 @@ class TestQaLimitSampler:
 
 class TestRiskEstimators:
     def test_regime_iv_p2_anchor(self):
-        est = type1_risk_iv(2, 0.05, 20_000, make_rng(104))
+        est = type1_risk_iii(2, 0.0, 0.05, 20_000, make_rng(104))
         assert est.risk == pytest.approx(0.327, abs=0.02)
         assert est.M == 20_000
         assert 0.0 < est.se < 0.01
@@ -213,6 +213,34 @@ class TestRiskEstimators:
         r5 = type1_risk_iii(2, 0.0, 0.05, 20_000, make_rng(106))
         r1 = type1_risk_iii(2, 0.0, 0.01, 20_000, make_rng(106))
         assert r5.risk > r1.risk
+
+    @pytest.mark.parametrize("p", [20, 30])
+    def test_risk_does_not_depend_on_the_blocks(self, p):
+        # At p = 20 and 30 the estimator draws 512 and 227 matrices per
+        # block; the hits equal those of the same draws taken as one block.
+        M, crit = 700, chi2_quantile(0.95, p - 1)
+        est = type1_risk_iii(p, 1.0, 0.05, M, make_rng(113), kappa=0.5)
+        draws = asymptotics._qa_limit_block(p, 1.0, 0.5, M, make_rng(113))
+        assert est.risk == np.count_nonzero(draws > crit) / M
+
+    def test_memory_is_bounded_at_large_p(self):
+        # With M matrices in one stack, G and Z alone would take 2 × 14.7 MB.
+        tracemalloc.start()
+        try:
+            type1_risk_iii(30, 0.0, 0.05, 2048, make_rng(114))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 0.0, 1.0, 1.5])
+    def test_invalid_alpha_names_alpha(self, alpha):
+        for call in (
+            lambda: type1_risk_iii(3, 0.0, alpha, 100, make_rng(0)),
+            lambda: asymptotic_power(2, 1.0, alpha),
+        ):
+            with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+                call()
 
     def test_invalid_M(self):
         with pytest.raises(ValueError):
@@ -237,8 +265,19 @@ class TestRiskEstimators:
             lambda v: type1_risk_iii(3, v, 0.05, 100, make_rng(0)),
             lambda v: qa_limit_sample(3, v, rng=make_rng(0)),
             lambda v: eigen_limit_sample(3, v, "iii", rng=make_rng(0)),
+            # v = −1 used to give the noncentralities of v = 1
+            lambda v: ncp_hpv_iii(v, 1.0),
+            lambda v: ncp_oracle_iii(v, 1.0),
+            lambda v: ncp_regime12(v, 0, 1.0),
         ],
-        ids=["type1_risk_iii", "qa_limit_sample", "eigen_limit_sample"],
+        ids=[
+            "type1_risk_iii",
+            "qa_limit_sample",
+            "eigen_limit_sample",
+            "ncp_hpv_iii",
+            "ncp_oracle_iii",
+            "ncp_regime12",
+        ],
     )
     def test_invalid_v(self, draw, v):
         with pytest.raises(ValueError, match="v must be finite and nonnegative"):
@@ -402,6 +441,10 @@ class TestNoncentralities:
         assert ncp_regime12(2.0, 0, 0.5) == pytest.approx(1.0)
         assert ncp_regime12(2.0, 1, 0.5) == pytest.approx(4.0 * 0.25 / 3.0)
         assert ncp_regime12(1.0, 0, 0.0) == 0.0
+        # nan and inf used to come back as the noncentrality
+        for tau_norm in (math.nan, math.inf, -0.5):
+            with pytest.raises(ValueError, match="tau_norm must be finite and nonnegative"):
+                ncp_regime12(1.0, 0, tau_norm)
 
     def test_boundary_zeros(self):
         assert ncp_hpv_iii(1.0, 0.0) == 0.0
@@ -474,6 +517,13 @@ class TestLocalExperiment:
         theta = unit(3)
         le = local_experiment(s, theta, 2.0, 0, np.eye(3))
         np.testing.assert_allclose(le.info, 4.0 * (np.eye(3) - np.outer(theta, theta)))
+
+    @pytest.mark.parametrize("theta0", [[1.0, 1.0, 0.0], [math.nan, 0.0, 0.0], [1.0, 0.0]])
+    def test_theta0_is_validated(self, theta0):
+        # any theta0 used to be taken, of any norm or length
+        s = summarize(make_rng(116).standard_normal((50, 3)))
+        with pytest.raises(ValueError, match="unit|length"):
+            local_experiment(s, np.array(theta0), 2.0, 0, np.eye(3))
 
     def test_central_sequence_covariance(self):
         # under a constant spike (delta = 1 matching), Cov(Delta) -> Gamma

@@ -377,6 +377,15 @@ class TestPowerCommand:
         assert float(last[1]) == 0.0  # hpv ncp vanishes at sqrt(2)
         assert float(last[4]) > 0.05  # oracle still has power there
 
+    def test_large_v_runs(self, runner):
+        # v = 1000 puts the noncentralities near 5e5, where the series used
+        # to run 10⁶ terms and end in RuntimeError
+        result = runner.invoke(main, ["power", "--v", "1000"])
+        assert result.exit_code == 0, result.output
+        powers = [float(x) for line in result.output.splitlines()[1:] for x in line.split()[3:]]
+        assert len(powers) == 30
+        assert all(0.0 <= x <= 1.0 for x in powers)
+
     def test_rejects_tau_out_of_range(self, runner):
         result = runner.invoke(main, ["power", "--tau-grid", "1.5"])
         assert result.exit_code != 0
@@ -385,7 +394,7 @@ class TestPowerCommand:
         "args, message",
         [
             (["--p", "1"], "df must be a positive integer"),
-            (["--alpha", "1.5"], "q must lie strictly between 0 and 1"),
+            (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1"),
             (["--tau-grid", "1.5"], "tau_norm must lie in [0, sqrt(2)]"),
         ],
     )
@@ -434,6 +443,43 @@ class TestBanknoteCommand:
         result = runner.invoke(main, ["banknote", "--data", str(f)])
         assert result.exit_code == 0, result.output
         assert "warning" in result.output
+
+
+# Bad numeric input to every command that takes a number from the user.
+# DATA is a 60×3 Gaussian CSV, SMALL a 5×4 one (n = p + 1, too few rows
+# for leave-one-out).
+_ASYMPTOTIC = ["asymptotic", "--regime", "iii", "--M", "10"]
+BAD_NUMERIC_INPUTS = [
+    *(["test", "DATA", "--theta0", "1,0,0", "--alpha", a] for a in ("nan", "inf", "-0.1", "1.5")),
+    *(["test", "DATA", "--theta0", t] for t in ("nan,0,0", "inf,0,0", "-1,0,0,0")),
+    *(["test", "DATA", "--theta0", "1,0,0", "--j", j] for j in ("0", "-1", "4")),
+    *(["power", "--v", v] for v in ("nan", "inf", "-1", "1e5")),
+    *(["power", "--alpha", a] for a in ("nan", "inf", "-0.1", "0", "1.5")),
+    *(["power", "--p", p] for p in ("-1", "1")),
+    *(["power", "--tau-grid", t] for t in ("nan", "inf", "-0.1", "0.5,1.5")),
+    *([*_ASYMPTOTIC, "--p", "3", "--v", v] for v in ("nan", "inf", "-1")),
+    *([*_ASYMPTOTIC, "--p", "3", "--alpha", a] for a in ("nan", "inf", "-0.1", "1", "1.5")),
+    *([*_ASYMPTOTIC, "--p", "3", "--kappa", k] for k in ("nan", "inf", "-1")),
+    *([*_ASYMPTOTIC, "--p", p] for p in ("-1", "1")),
+    ["asymptotic", "--regime", "iv", "--p", "3", "--M", "-5"],
+    *(["banknote", "--alpha", a] for a in ("nan", "inf", "-0.1", "1.5")),
+    ["banknote", "--data", "SMALL"],
+]
+
+
+@pytest.mark.parametrize("args", BAD_NUMERIC_INPUTS, ids=" ".join)
+def test_bad_numeric_input_exits_with_one_error_line(runner, tmp_path, args):
+    files = {
+        "DATA": write_dataset(tmp_path / "data.csv", spiked_data(n=60)),
+        "SMALL": write_dataset(
+            tmp_path / "small.csv", make_rng(1).standard_normal((5, 4)), ["L", "R", "B", "T"]
+        ),
+    }
+    result = runner.invoke(main, [str(files.get(a, a)) for a in args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
 
 
 def test_version(runner):

@@ -4,8 +4,8 @@ and the random-matrix samplers.
 Oracles
 -------
 * chi-square: quadrature of the density + scipy.stats frozen values
-* noncentral chi-square: scipy.stats.ncx2 frozen values and a direct
-  Monte Carlo construction ||Z + mu||^2
+* noncentral chi-square: scipy.stats.ncx2 (frozen values, and live up
+  to ncp = 10^6) and a direct Monte Carlo construction ||Z + mu||^2
 * samplers: analytic first/second moments of the Gaussian orthogonal
   ensemble and its elliptical extension
 """
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
+from scipy import stats as scipy_stats
 
 from spikedcov import asymptotics
 from spikedcov.asymptotics import sample_z_elliptical
@@ -119,6 +120,24 @@ class TestNoncentralChi2:
         # the Poisson-mixture series must not truncate early for ncp >> df
         assert noncentral_chi2_cdf(1e4, 2, 400.0) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 < noncentral_chi2_cdf(390.0, 2, 400.0) < 1.0
+
+    # From ncp ≈ 3e5 on, the rounding of the log-weights kept the summed
+    # Poisson mass from coming within 1e-12 of 1: the series ran 10⁶ terms
+    # and raised RuntimeError (at 3e5 and 5e5, not at 4e5).
+    @pytest.mark.parametrize("ncp", [1e-300, 0.3, 30.0, 3e3, 3e5, 4e5, 5e5, 1e6])
+    @pytest.mark.parametrize("df", [1, 9])
+    def test_matches_scipy_up_to_large_ncp(self, ncp, df):
+        mean, sd = df + ncp, math.sqrt(2.0 * (df + 2.0 * ncp))
+        for z in (-4.0, -1.0, 0.0, 1.0, 4.0):
+            x = max(0.0, mean + z * sd)
+            assert noncentral_chi2_cdf(x, df, ncp) == pytest.approx(
+                scipy_stats.ncx2.cdf(x, df, ncp), abs=1e-8
+            )
+
+    @pytest.mark.parametrize("ncp", [math.nan, math.inf, -1.0, 2e7])
+    def test_ncp_outside_its_range_rejected(self, ncp):
+        with pytest.raises(ValueError, match="ncp must be finite, nonnegative"):
+            noncentral_chi2_cdf(3.0, 2, ncp)
 
 
 class TestGOESampler:

@@ -527,3 +527,12 @@ def test_run_leave_one_out():
         assert 0.0 <= ph <= 1.0
     with pytest.raises(ValueError):
         run_leave_one_out(rng.standard_normal(10), theta)
+
+
+def test_leave_one_out_needs_p_plus_2_rows(monkeypatch):
+    # With n = p + 1 every sample left has a singular covariance; the
+    # error used to come from summarize on the first of them.
+    monkeypatch.setattr(harness, "summarize", lambda X: pytest.fail("summarize called"))
+    theta = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="n >= p \\+ 2"):
+        run_leave_one_out(np.random.default_rng(4).standard_normal((4, 3)), theta)

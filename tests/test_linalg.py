@@ -16,6 +16,7 @@ from spikedcov.linalg import (
     DegeneracyError,
     EigenSystem,
     _apply_sign_convention,
+    _check_unit,
     _require_symmetric,
     gram_schmidt_complement,
     sym_eigen,
@@ -371,6 +372,31 @@ class TestGramSchmidtOracle:
             gram_schmidt_complement(theta0, [[0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="length"):
             gram_schmidt_complement(theta0, [[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestCheckUnit:
+    """The one unit-vector rule behind θ⁰ and θ₁ in every module."""
+
+    def test_accepts_unit_vectors_unchanged(self):
+        theta = np.array([0.6, 0.8, 0.0])
+        for p in (None, 3):
+            np.testing.assert_array_equal(_check_unit(theta, "theta0", p), theta)
+        assert _check_unit([0, 1], "theta0").dtype == float
+
+    @pytest.mark.parametrize(
+        "theta, p, message",
+        [
+            ([1.0, 0.0], 3, "theta0 must be a vector of length p=3"),
+            ([[1.0, 0.0]], None, "theta0 must be a vector$"),
+            (1.0, None, "theta0 must be a vector$"),
+            ([1.0, 1e-4], 2, "theta0 must be a unit vector"),
+            ([np.nan, 0.0], 2, "theta0 must be a unit vector"),
+            ([np.inf, 0.0], None, "theta0 must be a unit vector"),
+        ],
+    )
+    def test_rejects(self, theta, p, message):
+        with pytest.raises(ValueError, match=message):
+            _check_unit(theta, "theta0", p)
 
 
 def test_commutation_matrix_transposes_vec():
