@@ -59,7 +59,7 @@ def _parse_theta0(text: str, p: int) -> np.ndarray:
             f"--theta0 has {theta.shape[0]} entries but the data has p={p} columns"
         )
     norm = float(np.linalg.norm(theta))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # a nan norm fails this too
         raise click.ClickException(
             f"--theta0 must be a unit vector (norm {norm:.6g} is off by more than 1e-6)"
         )

@@ -8,6 +8,8 @@ The complement frame is one Householder QR, factored by LAPACK's
 with each routine's workspace queried first as ``np.linalg.qr`` does.
 ``np.linalg.qr`` runs the same two routines but costs about 25 µs of
 fixed overhead per call, more than the factorization itself at p = 10.
+Loading ``scipy.linalg`` takes about 0.2 s and maps scipy's own
+OpenBLAS, so only the frame imports it, through :func:`_lapack`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "DegeneracyError",
@@ -127,6 +128,18 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
     return EigenSystem(values=lam, vectors=V)
 
 
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use.
+
+    They bring scipy's own OpenBLAS, which a grid must load before it
+    caps the thread count of every loaded OpenBLAS, so the harness calls
+    this too before it runs replicates that build the frame.
+    """
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _lapack_ok(routine: str, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
@@ -181,6 +194,7 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
         raise ValueError(f"expected {p - 1} vectors, got {len(vecs)}")
     if vecs.shape != (p - 1, p):
         raise ValueError(f"every vector must have length p={p}")
+    lapack = _lapack()
     A = np.empty((p, p), order="F")
     A[:, 0] = theta0
     A[:, 1:] = vecs.T

@@ -143,13 +143,18 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
     r = model.rate.at(n)
     spike = math.sqrt(1.0 + r * model.v) - 1.0
     X = rng.standard_normal((n, model.p))
-    u = X @ model.theta1
     cols = np.flatnonzero(model.theta1)
-    # Column k gains u·(spike·θ₁ₖ); one spiked column reuses u for it.
-    shift = u if cols.size == 1 else np.empty(n)
-    for k in cols:
-        np.multiply(u, spike * model.theta1[k], out=shift)
-        X[:, k] += shift
+    # Column k gains u·(spike·θ₁ₖ) with u = Xθ₁.  With one non-zero
+    # entry k, u is X[:, k]·θ₁ₖ exactly, so the n×p product is skipped.
+    if cols.size == 1:
+        k = cols[0]
+        X[:, k] += X[:, k] * model.theta1[k] * (spike * model.theta1[k])
+    else:
+        u = X @ model.theta1
+        shift = np.empty(n)
+        for k in cols:
+            np.multiply(u, spike * model.theta1[k], out=shift)
+            X[:, k] += shift
     if model.sigma != 1.0:
         X *= model.sigma
     if family.kind == "student-t":

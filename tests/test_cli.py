@@ -467,6 +467,13 @@ BAD_NUMERIC_INPUTS = [
 ]
 
 
+# The CLI's own message where the library's would be less specific.
+BAD_NUMERIC_MESSAGES = {
+    ("test", "DATA", "--theta0", t): f"--theta0 must be a unit vector (norm {t.split(',')[0]} "
+    for t in ("nan,0,0", "inf,0,0")
+}
+
+
 @pytest.mark.parametrize("args", BAD_NUMERIC_INPUTS, ids=" ".join)
 def test_bad_numeric_input_exits_with_one_error_line(runner, tmp_path, args):
     files = {
@@ -480,6 +487,7 @@ def test_bad_numeric_input_exits_with_one_error_line(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)  # no traceback
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1, result.output
+    assert BAD_NUMERIC_MESSAGES.get(tuple(args), "") in errors[0]
 
 
 def test_version(runner):

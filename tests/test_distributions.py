@@ -3,7 +3,8 @@ and the random-matrix samplers.
 
 Oracles
 -------
-* chi-square: quadrature of the density + scipy.stats frozen values
+* chi-square: quadrature of the density, scipy.stats frozen values, and
+  scipy.special's incomplete gamma functions live for df 1..400
 * noncentral chi-square: scipy.stats.ncx2 (frozen values, and live up
   to ncp = 10^6) and a direct Monte Carlo construction ||Z + mu||^2
 * samplers: analytic first/second moments of the Gaussian orthogonal
@@ -11,17 +12,19 @@ Oracles
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 from scipy import stats as scipy_stats
 
 from spikedcov import asymptotics
 from spikedcov.asymptotics import sample_z_elliptical
 from spikedcov.distributions import (
+    _chi2_tails,
     chi2_cdf,
     chi2_quantile,
     make_rng,
@@ -87,6 +90,46 @@ class TestChi2:
         assert chi2_cdf(chi2_quantile(q, df), df) == pytest.approx(q, abs=1e-9)
 
 
+class TestClosedForms:
+    """The integer-df closed forms against scipy.special's incomplete
+    gamma functions, which computed these values before."""
+
+    def test_upper_tail_matches_scipy(self):
+        for df in range(1, 401):
+            xs = [df * f for f in (0.05, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0)]
+            for x in xs + [0.3, 5.0, 60.0, 700.0]:
+                expected = special.gammaincc(df / 2.0, x / 2.0)
+                assert _chi2_tails(x, df)[1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_quantiles_within_32_ulp_of_scipy(self):
+        for df in range(1, 401):
+            for q in (0.9, 0.95, 0.99, 0.999):
+                expected = 2.0 * special.gammaincinv(df / 2.0, q)
+                assert abs(chi2_quantile(q, df) - expected) <= 32 * math.ulp(expected), (df, q)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 101, 400])
+    def test_extreme_levels_solve(self, df):
+        low = chi2_quantile(1e-300, df)
+        assert 0.0 <= low < df
+        high = chi2_quantile(1.0 - 2.0**-53, df)
+        assert high == pytest.approx(2.0 * special.gammainccinv(df / 2.0, 2.0**-53), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 9, 400])
+    def test_cdf_at_zero_is_exactly_zero(self, df):
+        assert chi2_cdf(0.0, df) == 0.0
+        assert noncentral_chi2_cdf(0.0, df, 5.0) == 0.0
+
+    @pytest.mark.parametrize("df", [2.5, 0, -1, math.nan])
+    def test_non_integer_df_rejected(self, df):
+        for call in (
+            lambda: chi2_cdf(1.0, df),
+            lambda: chi2_quantile(0.5, df),
+            lambda: noncentral_chi2_cdf(1.0, df, 2.0),
+        ):
+            with pytest.raises(ValueError, match="df must be a positive integer"):
+                call()
+
+
 class TestNoncentralChi2:
     @pytest.mark.parametrize("df,lam,x,expected", NCX2_CDFS)
     def test_frozen_scipy_values(self, df, lam, x, expected):
@@ -124,7 +167,7 @@ class TestNoncentralChi2:
     # From ncp ≈ 3e5 on, the rounding of the log-weights kept the summed
     # Poisson mass from coming within 1e-12 of 1: the series ran 10⁶ terms
     # and raised RuntimeError (at 3e5 and 5e5, not at 4e5).
-    @pytest.mark.parametrize("ncp", [1e-300, 0.3, 30.0, 3e3, 3e5, 4e5, 5e5, 1e6])
+    @pytest.mark.parametrize("ncp", [1e-300, 0.3, 30.0, 3e3, 3e5, 4e5, 5e5, 1e6, 1e7])
     @pytest.mark.parametrize("df", [1, 9])
     def test_matches_scipy_up_to_large_ncp(self, ncp, df):
         mean, sd = df + ncp, math.sqrt(2.0 * (df + 2.0 * ncp))
@@ -133,6 +176,21 @@ class TestNoncentralChi2:
             assert noncentral_chi2_cdf(x, df, ncp) == pytest.approx(
                 scipy_stats.ncx2.cdf(x, df, ncp), abs=1e-8
             )
+
+    # scipy.special took 63 and 169 ms here, each term a separate call.
+    @pytest.mark.parametrize("ncp,seconds", [(1e6, 0.063), (1e7, 0.169)])
+    def test_large_ncp_takes_at_most_twice_the_incomplete_gamma_time(self, ncp, seconds):
+        worst = 0.0
+        for df in (1, 9):
+            for z in (-4.0, 0.0, 4.0):
+                x = df + ncp + z * math.sqrt(2.0 * (df + 2.0 * ncp))
+                best = math.inf
+                for _ in range(3):
+                    start = time.perf_counter()
+                    noncentral_chi2_cdf(x, df, ncp)
+                    best = min(best, time.perf_counter() - start)
+                worst = max(worst, best)
+        assert worst <= 2.0 * seconds
 
     @pytest.mark.parametrize("ncp", [math.nan, math.inf, -1.0, 2e7])
     def test_ncp_outside_its_range_rejected(self, ncp):

@@ -171,6 +171,8 @@ class TestSampling:
                 unit_sigma_zero_mu_model(p, two),
                 unit_sigma_zero_mu_model(p, negative),
                 unit_sigma_zero_mu_model(p, -unit(p, 1)),
+                # One non-zero entry that is not ±1 (unit within 1e-10).
+                unit_sigma_zero_mu_model(p, unit(p, p - 1) * (1.0 - 4e-11)),
             )
             for m in models:
                 for seed in range(3):
