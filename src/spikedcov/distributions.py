@@ -138,16 +138,22 @@ def _chi2_tails(x: float, df: int) -> tuple[float, float, float]:
     return 1.0 - q, q, f
 
 
-def chi2_cdf(x: float, df: int) -> float:
-    """Chi-square CDF P(x; df) at integer df, from its closed forms."""
+def _chi2_cdf_sf(x: float, df: int) -> tuple[float, float]:
+    """(P, Q): the lower and upper tails of χ²(df) at x ≥ 0, inf included.
+    Q keeps its relative accuracy deep in the tail, where 1 − P reads 0."""
     _check_df(df)
     if not x >= 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x == math.inf:
-        return 1.0
-    return _chi2_tails(x, df)[0]
+        return 1.0, 0.0
+    return _chi2_tails(x, df)[:2]
+
+
+def chi2_cdf(x: float, df: int) -> float:
+    """Chi-square CDF P(x; df) at integer df, from its closed forms."""
+    return _chi2_cdf_sf(x, df)[0]
 
 
 def _normal_quantile_approx(p: float) -> float:

@@ -388,6 +388,17 @@ _OPENBLAS_SET_THREADS = (
 )
 
 
+# glibc ``mallopt`` parameters, and the values each pool worker gives
+# them: the largest mmap threshold glibc accepts on 64-bit, so that n×p
+# blocks come from the heap, and a trim threshold above it, so that
+# freeing them does not hand the memory back to the kernel for the next
+# replicate to fault in again.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_WORKER_MMAP_THRESHOLD = 32 * 2**20
+_WORKER_TRIM_THRESHOLD = 64 * 2**20
+
+
 def _openblas_libraries() -> list[str]:
     """Paths of the OpenBLAS shared libraries mapped into this process."""
     try:
@@ -440,6 +451,31 @@ def _set_blas_threads(threads: int | dict[str, int]) -> dict[str, int]:
     return previous
 
 
+def _keep_freed_heap() -> None:
+    """Make glibc's malloc keep freed blocks of up to 32 MiB in this
+    process's heap.
+
+    A ``mallopt`` call turns off glibc's dynamic thresholds for the rest
+    of the process and cannot be undone, so only pool workers make it.
+    Does nothing where libc has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no libc handle or no mallopt
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+
+
+def _init_worker() -> None:
+    """Pool worker initializer: one BLAS thread, and a heap that keeps the
+    n×p blocks each replicate frees."""
+    _set_blas_threads(1)
+    _keep_freed_heap()
+
+
 def _run_cells(config: ExperimentConfig):
     """Execute all cells; return (cells, per-cell (counts, degenerates),
     number of OpenBLAS libraries the replicates ran capped at one thread)."""
@@ -486,11 +522,11 @@ def _run_cells(config: ExperimentConfig):
         # Each worker caps its OpenBLAS at one thread, so parallelism
         # comes from the worker count alone.  Workers fork after numpy has
         # loaded OpenBLAS, so an environment variable set then is never
-        # read, and each worker would run one BLAS thread per core.
+        # read, and each worker would run one BLAS thread per core.  Each
+        # worker also keeps its freed heap; the grid process's allocator
+        # belongs to the caller and is left alone.
         try:
-            with ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_set_blas_threads, initargs=(1,)
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker) as pool:
                 futures = [
                     (ci, pool.submit(_chunk_counts, config, ci, lo, hi)) for ci, lo, hi in jobs
                 ]

@@ -18,11 +18,11 @@ elliptical distributions with finite fourth moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import chi2_cdf, chi2_quantile
+from .distributions import _chi2_cdf_sf, chi2_quantile
 from .linalg import (
     DegeneracyError,
     EigenSystem,
@@ -50,12 +50,18 @@ __all__ = [
 @dataclass(frozen=True)
 class SampleSummary:
     """Sufficient statistics of a sample: size, mean, covariance (divisor n),
-    and the eigendecomposition of the covariance."""
+    and the eigendecomposition of the covariance.
+
+    ``centred`` is the pair (X, X − mean) of the data matrix ``summarize``
+    was given and its centred copy, which ``kurtosis_from_summary`` reuses
+    for that same X; ``None`` in a summary built from a covariance.
+    """
 
     n: int
     mean: np.ndarray
     cov: np.ndarray
     eigen: EigenSystem
+    centred: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -106,7 +112,7 @@ def summarize(X: np.ndarray) -> SampleSummary:
             "sample covariance is numerically singular "
             f"(smallest eigenvalue {eigen.values[-1]:.3e})"
         )
-    return SampleSummary(n=n, mean=mean, cov=S, eigen=eigen)
+    return SampleSummary(n=n, mean=mean, cov=S, eigen=eigen, centred=(X, Xc))
 
 
 def summary_from_covariance(S: np.ndarray, n: int) -> SampleSummary:
@@ -181,10 +187,19 @@ def kurtosis_estimate(X: np.ndarray) -> float:
 
 
 def kurtosis_from_summary(s: SampleSummary, X: np.ndarray) -> float:
-    """κ̂ computed against an existing summary (avoids re-decomposing S)."""
+    """κ̂ computed against an existing summary (avoids re-decomposing S).
+
+    When ``X`` is the very array ``s`` summarised, its centred copy is
+    reused rather than computed again, so ``X`` must not have been
+    modified in place since ``summarize``.
+    """
     X = np.asarray(X, dtype=float)
+    if s.centred is not None and s.centred[0] is X:
+        Xc = s.centred[1]
+    else:
+        Xc = X - s.mean
     # d_i² via the spectral inverse of S, squared and scaled in place.
-    W = (X - s.mean) @ s.eigen.vectors
+    W = Xc @ s.eigen.vectors
     W *= W
     W /= s.eigen.values
     d2 = W.sum(axis=1)
@@ -259,6 +274,6 @@ def decide(statistic: float, df: int, alpha: float) -> TestOutcome:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     stat = _nonnegative(statistic)
-    pvalue = 1.0 - chi2_cdf(stat, df)
+    pvalue = _chi2_cdf_sf(stat, df)[1]
     reject = stat > chi2_quantile(1.0 - alpha, df)
     return TestOutcome(statistic=stat, df=df, pvalue=pvalue, alpha=alpha, reject=reject)

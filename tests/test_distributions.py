@@ -24,6 +24,7 @@ from scipy import stats as scipy_stats
 from spikedcov import asymptotics
 from spikedcov.asymptotics import sample_z_elliptical
 from spikedcov.distributions import (
+    _chi2_cdf_sf,
     _chi2_tails,
     chi2_cdf,
     chi2_quantile,
@@ -77,6 +78,8 @@ class TestChi2:
 
     def test_cdf_edge_cases(self):
         assert chi2_cdf(0.0, 3) == 0.0
+        assert _chi2_cdf_sf(0.0, 3) == (0.0, 1.0)
+        assert _chi2_cdf_sf(math.inf, 3) == (1.0, 0.0)
         with pytest.raises(ValueError):
             chi2_cdf(-0.1, 3)
         for q in (0.0, 1.0, -0.5):

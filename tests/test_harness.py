@@ -2,7 +2,9 @@
 
 import builtins
 import ctypes
+import json
 import math
+import platform
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from spikedcov.harness import (
     _tau_norm,
 )
 from spikedcov.model import RadialFamily
+from test_fresh_process import run_fresh
 
 
 def tiny_null_config(**kw):
@@ -86,7 +89,73 @@ def no_proc_maps(monkeypatch):
     monkeypatch.setattr(builtins, "open", no_maps)
 
 
+def keep_freed_heap_calls_chunk(config, cell_index, lo, hi):
+    """Stands in for ``_chunk_counts``: reports how often the process has
+    called the recording ``_keep_freed_heap`` a test put in place."""
+    return np.array([len(harness._keep_freed_heap.calls)]), 0
+
+
+def glibc_mallopt() -> bool:
+    """Whether this process's libc is glibc and has ``mallopt``."""
+    try:
+        return platform.libc_ver()[0] == "glibc" and hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Runs a pooled grid whose chunks each return the worker's minor page
+# faults over 19 allocations of a 20 000 × 10 array after a first one.  A
+# fresh interpreter, because a forked worker inherits the heap thresholds
+# that glibc has raised in its parent, and the test session has freed
+# large arrays of its own.
+HEAP_FAULTS_GRID = """
+import json, resource
+import numpy as np
+from spikedcov import harness
+
+def heap_faults(config, cell_index, lo, hi):
+    np.ones((20_000, 10))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(19):
+        np.ones((20_000, 10))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return np.array([faults]), 0
+
+harness._chunk_counts = heap_faults
+cfg = harness.ExperimentConfig("null", p=3, n=60, M=2, ells=(0, 5), workers=2)
+_, results, _ = harness._run_cells(cfg)
+print(json.dumps([int(results[ci][0][0]) for ci in sorted(results)]))
+"""
+
+
 class TestPoolWorkers:
+    def test_pooled_worker_keeps_freed_heap(self):
+        if not glibc_mallopt():
+            pytest.skip("libc is not glibc, or has no mallopt")
+        faults = json.loads(run_fresh(HEAP_FAULTS_GRID).splitlines()[-1])
+        # Each cell sums two one-replicate chunks.  One array is 391 pages;
+        # a worker that handed it back would fault them in again.
+        assert len(faults) == 2
+        assert max(faults) < 40, faults
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_process_allocator_left_alone(self, monkeypatch, workers):
+        keep_freed_heap = harness._keep_freed_heap
+
+        def recording():
+            # A forked worker appends to its own copy of ``calls``.
+            recording.calls.append(True)
+            keep_freed_heap()
+
+        recording.calls = []
+        monkeypatch.setattr(harness, "_keep_freed_heap", recording)
+        monkeypatch.setattr(harness, "_chunk_counts", keep_freed_heap_calls_chunk)
+        _, results, _ = harness._run_cells(tiny_null_config(M=4, ells=(0,), workers=workers))
+        assert recording.calls == []
+        # A pooled worker made the call once, as it started; the grid
+        # process's own chunks see none.
+        assert results[0][0].tolist() == [4 if workers > 1 else 0]
+
     def test_pooled_worker_runs_one_blas_thread(self, monkeypatch):
         if not blas_threads():
             pytest.skip("no OpenBLAS with a get-threads entry point is loaded")

@@ -274,6 +274,31 @@ class TestKurtosis:
             ref = float(np.mean(d2**2) / (10 * 12) - 1.0)
             assert kurtosis_from_summary(s, X) == ref
 
+    @staticmethod
+    def fresh_kappa(s, Y):
+        # κ̂ of Y against s as fresh-array expressions, Y centred anew.
+        W = (Y - s.mean) @ s.eigen.vectors
+        d2 = (W * W / s.eigen.values).sum(axis=1)
+        return float(np.mean(d2**2) / (s.p * (s.p + 2)) - 1.0)
+
+    def test_from_summary_of_another_array(self):
+        rng = make_rng(26)
+        X = rng.standard_normal((400, 4))
+        Y = rng.standard_t(6, (400, 4))
+        s = summarize(X)
+        # Y has X's shape but is not the array s summarised, so s's
+        # centred copy of X must not stand in for it.
+        assert kurtosis_from_summary(s, Y) == self.fresh_kappa(s, Y)
+        assert kurtosis_from_summary(s, Y) != kurtosis_from_summary(s, X)
+        # An equal copy of X is another array too, with the same κ̂.
+        assert kurtosis_from_summary(s, X.copy()) == kurtosis_from_summary(s, X)
+
+    def test_from_covariance_summary(self):
+        Y = make_rng(27).standard_normal((300, 3)) + 2.0
+        s = summary_from_covariance(np.diag([3.0, 2.0, 1.0]), 300)
+        assert s.centred is None
+        assert kurtosis_from_summary(s, Y) == self.fresh_kappa(s, Y)
+
     def test_pseudo_gaussian(self):
         assert pseudo_gaussian(6.0, 0.5) == pytest.approx(4.0)
         assert pseudo_gaussian(6.0, 0.0) == 6.0
@@ -321,6 +346,13 @@ class TestDecide:
         for stat in (0.5, 3.0, 3.842, 10.0):
             out = decide(stat, 1, 0.05)
             assert out.reject == (out.pvalue < 0.05)
+
+    @pytest.mark.parametrize("stat", [80.0, 90.0, 120.0])
+    def test_small_pvalue_keeps_relative_precision(self, stat):
+        # 1 − P(stat) loses these to cancellation, and reads 0 at 120.
+        from scipy.stats import chi2
+
+        assert decide(stat, 9, 0.05).pvalue == pytest.approx(chi2.sf(stat, 9), rel=1e-12, abs=0.0)
 
     def test_negative_rounding_clamped(self):
         out = decide(-1e-15, 2, 0.05)
