@@ -358,10 +358,8 @@ def _replicate_stats(config: ExperimentConfig, cell: _Cell, rng) -> dict[str, fl
 def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
     """Rejection counts over replicates [lo, hi) of one cell."""
     cell = _cells_for(config)[cell_index]
-    crits = np.array(
-        [[chi2_quantile(1.0 - a, df) for a in config.alphas] for _, df in cell.tests]
-    )
-    counts = np.zeros((len(cell.tests), len(config.alphas)), dtype=np.int64)
+    crits = [[chi2_quantile(1.0 - a, df) for a in config.alphas] for _, df in cell.tests]
+    counts = [[0] * len(config.alphas) for _ in cell.tests]
     degenerate = 0
     for rep in range(lo, hi):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
@@ -369,12 +367,16 @@ def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
             stats = _replicate_stats(config, cell, rng)
             # ``nan > crit`` is False: a non-finite or negative statistic
             # must never pass as a non-rejection.
-            values = np.array([_nonnegative(stats[name]) for name, _ in cell.tests])
+            values = [_nonnegative(stats[name]) for name, _ in cell.tests]
         except DegeneracyError:
             degenerate += 1
             continue
-        counts += values[:, None] > crits
-    return counts, degenerate
+        # Python floats: the same comparisons as float64 arrays, without
+        # building any per replicate.
+        for value, test_crits, test_counts in zip(values, crits, counts):
+            for ai, crit in enumerate(test_crits):
+                test_counts[ai] += value > crit
+    return np.array(counts, dtype=np.int64), degenerate
 
 
 # OpenBLAS entry points that set its thread count, by build: scipy-openblas

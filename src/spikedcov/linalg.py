@@ -5,7 +5,8 @@ Gram-Schmidt complements of a hypothesized direction.
 
 The complement frame is one Householder QR, factored by LAPACK's
 ``dgeqrf`` and expanded by ``dorgqr`` through ``scipy.linalg.lapack``,
-with each routine's workspace queried first as ``np.linalg.qr`` does.
+with each routine's workspace queried as ``np.linalg.qr`` does, but once
+per p rather than on every call.
 ``np.linalg.qr`` runs the same two routines but costs about 25 µs of
 fixed overhead per call, more than the factorization itself at p = 10.
 Loading ``scipy.linalg`` takes about 0.2 s and maps scipy's own
@@ -14,6 +15,7 @@ OpenBLAS, so only the frame imports it, through :func:`_lapack`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +44,8 @@ def _check_unit(theta: np.ndarray, name: str, p: int | None = None) -> np.ndarra
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or p not in (None, theta.shape[0]):
         raise ValueError(f"{name} must be a vector" + ("" if p is None else f" of length p={p}"))
-    if not abs(np.linalg.norm(theta) - 1.0) <= 1e-10:
+    # np.linalg.norm's own arithmetic; a nan or ±inf entry fails the test.
+    if not abs(math.sqrt(theta @ theta) - 1.0) <= 1e-10:
         raise ValueError(f"{name} must be a unit vector (within 1e-10)")
     return theta
 
@@ -57,10 +60,12 @@ def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
 def _require_symmetric(A: np.ndarray) -> np.ndarray:
     A = _as_square(A)
     # max|A| is nan when an entry is nan and inf when one is ±inf.
-    amax = float(np.max(np.abs(A))) if A.size else 0.0
+    amax = float(abs(A).max()) if A.size else 0.0
     if not amax < math.inf:
         raise ValueError("matrix entries must be finite")
-    if float(np.max(np.abs(A - A.T))) > SYMMETRY_RTOL * max(1.0, amax):
+    if (A == A.T).all():  # exactly symmetric, as summarize's S always is
+        return A
+    if float(abs(A - A.T).max()) > SYMMETRY_RTOL * max(1.0, amax):
         raise ValueError("matrix is not symmetric within tolerance")
     return A
 
@@ -89,17 +94,22 @@ class EigenSystem:
 
     def inverse_apply(self, x: np.ndarray) -> np.ndarray:
         """Compute ``A^{-1} x`` through the spectral factorization."""
-        lam = self.values
-        if np.min(lam) <= 0.0:
+        lam, V = self.values, self.vectors
+        if lam.min() <= 0.0:
             raise DegeneracyError("matrix is singular; inverse is undefined")
-        return self.vectors @ ((self.vectors.T @ x) / lam)
+        return V @ ((V.T @ x) / lam)
 
 
 def _apply_sign_convention(V: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first index attaining the maximum, which is
-    # exactly the "lowest row index" tie-break.
-    k = np.argmax(np.abs(V), axis=0)
-    return V * np.where(V[k, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
+    """``V`` with each column signed so that its entry of largest absolute
+    value is positive, as a new Fortran-ordered array.
+
+    argmax returns the first index attaining the maximum, which is exactly
+    the "lowest row index" tie-break.  That entry of a unit column is
+    nonzero, so its ``copysign`` is -1 exactly when it is negative.
+    """
+    k = abs(V).argmax(axis=0)
+    return np.multiply(V, np.copysign(1.0, V[k, np.arange(V.shape[1])]), order="F")
 
 
 def sym_eigen(A: np.ndarray) -> EigenSystem:
@@ -122,10 +132,11 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
     """
     A = _require_symmetric(A)
     lam, V = np.linalg.eigh(A)
-    order = np.argsort(lam)[::-1]  # descending, stable for exact ties
-    lam = lam[order]
-    V = _apply_sign_convention(V[:, order])
-    return EigenSystem(values=lam, vectors=V)
+    # eigh's values ascend, so reversing them gives the order that
+    # argsort(lam)[::-1] gave, exact ties included.  The vectors stay
+    # Fortran-ordered as that fancy index made them: BLAS products with
+    # them (inverse_apply, X @ V) round differently in another layout.
+    return EigenSystem(values=lam[::-1].copy(), vectors=_apply_sign_convention(V[:, ::-1]))
 
 
 def _lapack():
@@ -145,6 +156,20 @@ def _lapack_ok(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
 
 
+@functools.lru_cache(maxsize=256)
+def _qr_workspaces(p: int) -> tuple[int, int]:
+    """The ``lwork`` that ``dgeqrf`` and ``dorgqr`` ask for on a p×p
+    factorization.  It depends only on p and on the loaded LAPACK, so it
+    is queried (``lwork=-1``) once per p."""
+    lapack = _lapack()
+    work, info = lapack.dgeqrf_lwork(p, p)
+    _lapack_ok("dgeqrf workspace query", info)
+    geqrf_lwork = int(work)
+    work, info = lapack.dorgqr(np.empty((p, p), order="F"), np.empty(p), lwork=-1)[1:]
+    _lapack_ok("dorgqr workspace query", info)
+    return geqrf_lwork, int(work[0])
+
+
 def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
     """Orthonormal complement frame of ``theta0`` built from eigenvectors.
 
@@ -160,12 +185,14 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
 
     The factorization is LAPACK's ``dgeqrf`` on one Fortran-ordered
     p×p array, read for ``diag(R)`` on its diagonal, then ``dorgqr`` in
-    place for ``Q``.  Each routine's workspace is queried first
-    (``lwork=-1``), as ``np.linalg.qr`` does: with the wrappers' default
-    ``lwork``, LAPACK blocks differently once p passes its crossover
-    (p ≥ 130 with this OpenBLAS), and ``Q`` would differ from
-    ``np.linalg.qr``'s in the last bits.  The same two routines through
-    ``np.linalg.qr`` cost about 25 µs more per call.
+    place for ``Q``.  Each routine's workspace is the one a query
+    (``lwork=-1``) returns, as in ``np.linalg.qr``: with the wrappers'
+    default ``lwork``, LAPACK blocks differently once p passes its
+    crossover (p ≥ 130 with this OpenBLAS), and ``Q`` would differ from
+    ``np.linalg.qr``'s in the last bits.  The queries are made once per p
+    (:func:`_qr_workspaces`), since their answers depend only on p and
+    the loaded LAPACK.  The same two routines through ``np.linalg.qr``
+    cost about 25 µs more per call.
 
     Parameters
     ----------
@@ -195,22 +222,20 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
     if vecs.shape != (p - 1, p):
         raise ValueError(f"every vector must have length p={p}")
     lapack = _lapack()
+    geqrf_lwork, orgqr_lwork = _qr_workspaces(p)
     A = np.empty((p, p), order="F")
     A[:, 0] = theta0
     A[:, 1:] = vecs.T
-    work, info = lapack.dgeqrf_lwork(p, p)
-    _lapack_ok("dgeqrf workspace query", info)
-    qr, tau, _, info = lapack.dgeqrf(A, lwork=int(work), overwrite_a=1)
+    qr, tau, _, info = lapack.dgeqrf(A, lwork=geqrf_lwork, overwrite_a=1)
     _lapack_ok("dgeqrf", info)
     r = qr.diagonal()[1:].copy()  # dorgqr overwrites the factored array
-    collapsed = np.flatnonzero(np.abs(r) < 1e-12)
-    if collapsed.size:
+    small = abs(r) < 1e-12
+    if small.any():
         raise DegeneracyError(
-            f"Gram-Schmidt degenerate at frame position j={collapsed[0] + 2}: "
+            f"Gram-Schmidt degenerate at frame position j={small.argmax() + 2}: "
             "input vector lies in the span of the current frame"
         )
-    work, info = lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1:]
-    _lapack_ok("dorgqr workspace query", info)
-    Q, _, info = lapack.dorgqr(qr, tau, lwork=int(work[0]), overwrite_a=1)
+    Q, _, info = lapack.dorgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
     _lapack_ok("dorgqr", info)
-    return (Q[:, 1:] * np.where(r < 0.0, -1.0, 1.0)).T
+    # No entry of r is zero here, so copysign gives -1 exactly where r < 0.
+    return (Q[:, 1:] * np.copysign(1.0, r)).T

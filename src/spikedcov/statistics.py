@@ -98,11 +98,15 @@ def summarize(X: np.ndarray) -> SampleSummary:
     if X.ndim != 2:
         raise ValueError("X must be a 2-d data matrix")
     n, p = X.shape
-    if not np.all(np.isfinite(X)):
+    colsum = X.sum(axis=0)
+    # A non-finite entry makes its column sum non-finite, so only then is
+    # X itself scanned.  A sum that overflowed over finite entries passes,
+    # and sym_eigen rejects the non-finite S it leads to.
+    if not np.isfinite(colsum).all() and not np.isfinite(X).all():
         raise ValueError("data matrix contains non-finite entries")
     if n < p + 1:
         raise ValueError(f"need n >= p+1 observations, got n={n}, p={p}")
-    mean = X.sum(axis=0) / n  # np.mean's own arithmetic, without its overhead
+    mean = colsum / n  # np.mean's own arithmetic, without its overhead
     Xc = X - mean
     S = (Xc.T @ Xc) / n
     S = (S + S.T) / 2.0  # clear rounding asymmetry before validation
@@ -152,7 +156,7 @@ def anderson_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> floa
     """
     theta0 = _check_unit(theta0, "theta0", s.p)
     j = _check_j(s, j)
-    lam_j = s.eigen.values[j - 1]
+    lam_j = float(s.eigen.values[j - 1])
     quad_inv = float(theta0 @ s.eigen.inverse_apply(theta0))
     quad = float(theta0 @ s.cov @ theta0)
     return s.n * (lam_j * quad_inv + quad / lam_j - 2.0)
@@ -172,12 +176,15 @@ def hpv_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> float:
     """
     theta0 = _check_unit(theta0, "theta0", s.p)
     j = _check_j(s, j)
-    lam = s.eigen.values
-    others = np.arange(1, s.p)
-    others[: j - 1] -= 1  # 0, ..., j-2, j, ..., p-1
-    frame = gram_schmidt_complement(theta0, s.eigen.vectors[:, others].T)
+    lam, V = s.eigen.values, s.eigen.vectors
+    if j == 1:
+        others = slice(1, None)
+    else:
+        others = np.arange(1, s.p)
+        others[: j - 1] -= 1  # 0, ..., j-2, j, ..., p-1
+    frame = gram_schmidt_complement(theta0, V[:, others].T)
     proj = frame @ (s.cov @ theta0)
-    return s.n / lam[j - 1] * float(np.sum(proj * proj / lam[others]))
+    return s.n / lam[j - 1] * float((proj * proj / lam[others]).sum())
 
 
 def kurtosis_estimate(X: np.ndarray) -> float:
@@ -198,11 +205,10 @@ def kurtosis_from_summary(s: SampleSummary, X: np.ndarray) -> float:
         Xc = s.centred[1]
     else:
         Xc = X - s.mean
-    # d_i² via the spectral inverse of S, squared and scaled in place.
+    # d_i² = Σ_k (Xc V)²_ik / λ_k, the spectral form of Xc S⁻¹ Xcᵀ's diagonal.
     W = Xc @ s.eigen.vectors
     W *= W
-    W /= s.eigen.values
-    d2 = W.sum(axis=1)
+    d2 = W @ (1.0 / s.eigen.values)
     d2 *= d2
     return float(np.mean(d2) / (s.p * (s.p + 2)) - 1.0)
 

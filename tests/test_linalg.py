@@ -178,6 +178,35 @@ class TestSymEigen:
             got = _apply_sign_convention(V)
             assert got.tobytes() == reference_sign_convention(V).tobytes()
 
+    @staticmethod
+    def argsort_form(A):
+        """sym_eigen as written with argsort: eigh's output reordered by
+        argsort(values)[::-1] through two fancy indexes, then signed."""
+        lam, V = np.linalg.eigh(_require_symmetric(A))
+        order = np.argsort(lam)[::-1]
+        V = V[:, order]
+        k = np.argmax(np.abs(V), axis=0)
+        return lam[order], V * np.where(V[k, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("p", [3, 10, 30])
+    def test_matches_argsort_form_bit_for_bit(self, p):
+        # The memory order of the vectors is pinned with their values:
+        # BLAS products with them (inverse_apply, and X @ V in κ̂) round
+        # differently once they are C-ordered, which moved the last bits
+        # of Q_A and κ̂ in a prototype whose CSVs stayed byte-identical.
+        rng = np.random.default_rng(p)
+        ties = rng.permutation(np.repeat([3.0, 2.0, 1.0], p)[:p])
+        P = np.eye(p)[rng.permutation(p)]
+        cases = [random_symmetric(p, seed) for seed in range(20)]
+        cases += [np.diag(ties), P @ np.diag(ties) @ P.T, np.eye(p)]
+        for A in cases:
+            got = sym_eigen(A)
+            lam, V = self.argsort_form(A)
+            assert got.values.tobytes() == lam.tobytes()
+            assert got.vectors.tobytes() == V.tobytes()
+            assert got.vectors.flags.f_contiguous and V.flags.f_contiguous
+        assert np.any(np.diff(self.argsort_form(np.diag(ties))[0]) == 0.0)
+
     def test_asymmetric_rejected(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):

@@ -67,11 +67,30 @@ class TestSummarize:
         with pytest.raises(ValueError, match="n >= p\\+1"):
             summarize(np.eye(3))
 
-    def test_non_finite(self):
-        X = np.ones((5, 2))
-        X[3, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            summarize(X)
+    @pytest.mark.parametrize(
+        "bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)], ids=str
+    )
+    def test_non_finite(self, bad):
+        # A column holding +inf and -inf sums to nan, which numpy's sum
+        # reports as an invalid value; one holding either sums to ±inf.
+        X = make_rng(4).standard_normal((6, 2))
+        X[1 : 1 + len(bad), 1] = bad
+        message = "^data matrix contains non-finite entries$"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                summarize(X)
+            # Checked before the row count.
+            with pytest.raises(ValueError, match=message):
+                summarize(X[:2])
+
+    def test_column_sum_overflow(self):
+        # Finite entries whose column sum overflows pass the entry check;
+        # the covariance they give is not finite, and sym_eigen says so.
+        X = make_rng(4).standard_normal((6, 2))
+        X[:, 0] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                summarize(X)
 
     def test_mean_matches_numpy_mean_bit_for_bit(self):
         rng = make_rng(5)
@@ -268,17 +287,20 @@ class TestKurtosis:
         for seed in range(3):
             X = sample(m, 2000, family, make_rng(seed))
             s = summarize(X)
-            # κ̂ as fresh-array expressions: W = (X − X̄)V, d² = Σ W²/λ̂.
+            # κ̂ as fresh-array expressions: W = (X − X̄)V, d² = W² λ̂⁻¹.
             W = (X - s.mean) @ s.eigen.vectors
-            d2 = (W * W / s.eigen.values).sum(axis=1)
+            d2 = (W * W) @ (1.0 / s.eigen.values)
             ref = float(np.mean(d2**2) / (10 * 12) - 1.0)
             assert kurtosis_from_summary(s, X) == ref
+            # The row sum of W²/λ̂ (divided, and added in another order) agrees to rounding.
+            d2_rows = (W * W / s.eigen.values).sum(axis=1)
+            np.testing.assert_allclose(d2, d2_rows, rtol=1e-13, atol=0)
 
     @staticmethod
     def fresh_kappa(s, Y):
         # κ̂ of Y against s as fresh-array expressions, Y centred anew.
         W = (Y - s.mean) @ s.eigen.vectors
-        d2 = (W * W / s.eigen.values).sum(axis=1)
+        d2 = (W * W) @ (1.0 / s.eigen.values)
         return float(np.mean(d2**2) / (s.p * (s.p + 2)) - 1.0)
 
     def test_from_summary_of_another_array(self):
