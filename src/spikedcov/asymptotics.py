@@ -26,8 +26,6 @@ from .linalg import _check_unit
 from .statistics import SampleSummary
 
 __all__ = [
-    "EigenvectorFrame",
-    "LocalAlternative",
     "LocalExperiment",
     "RiskEstimate",
     "sample_z_elliptical",
@@ -39,7 +37,6 @@ __all__ = [
     "ncp_hpv_iii",
     "ncp_oracle_iii",
     "asymptotic_power",
-    "local_alternative",
     "local_experiment",
 ]
 
@@ -54,57 +51,6 @@ _BLOCK = 2048
 # kernel (_top_eigenvalue_kernel) rather than one LAPACK call per matrix;
 # measured in BENCH_limit_law.json.
 _KERNEL_MAX_P = 24
-
-
-@dataclass(frozen=True)
-class EigenvectorFrame:
-    """Spectrum and eigenvector frame of a limit matrix.
-
-    ``values`` are the eigenvalues in descending order; row j of ``frame``
-    is the eigenvector w_j, sign-fixed so that every first entry w_{j1}
-    is positive.
-    """
-
-    values: np.ndarray
-    frame: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        E = np.asarray(self.frame, dtype=float)
-        if np.any(np.diff(values) > 0):
-            raise ValueError("frame eigenvalues must be in descending order")
-        if float(np.max(np.abs(E @ E.T - np.eye(E.shape[0])))) > 1e-10:
-            raise ValueError("frame rows must be orthonormal (tol 1e-10)")
-        if np.any(E[:, 0] <= 0):
-            raise ValueError("frame sign convention violated: w_{j1} must be positive")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "frame", E)
-
-
-@dataclass(frozen=True)
-class LocalAlternative:
-    """Admissible local perturbation: θ₁ = θ₁⁰ + ν τ stays on the sphere,
-    which forces θ₁⁰ᵀτ = −(ν/2)‖τ‖²."""
-
-    tau: np.ndarray
-    nu: float
-    residual: float
-
-
-def local_alternative(theta0: np.ndarray, tau: np.ndarray, nu: float) -> LocalAlternative:
-    """Validate and package a local alternative direction.
-
-    Raises ValueError when the unit-sphere admissibility constraint
-    θ₁⁰ᵀτ = −(ν/2)‖τ‖² is violated beyond 1e-10.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    residual = abs(float(theta0 @ tau) + 0.5 * nu * float(tau @ tau))
-    if residual > 1e-10:
-        raise ValueError(
-            f"inadmissible perturbation: constraint residual {residual:.3e} exceeds 1e-10"
-        )
-    return LocalAlternative(tau=tau, nu=float(nu), residual=residual)
 
 
 @dataclass(frozen=True)
@@ -175,7 +121,7 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
     return _elliptical_block(p, kappa, 1, rng)[0]
 
 
-def qa_limit_sample(p: int, v: float, kappa: float = 0.0, rng: Optional[Rng] = None) -> float:
+def qa_limit_sample(p: int, v: float, kappa: float = 0.0, *, rng: Rng) -> float:
     """One draw from the limiting null law of the Anderson statistic.
 
     With Z = Z_f + diag(v, 0, ..., 0), returns Σ_{j≥2} (ℓ₁−ℓ_j)² w_{j1}²,
@@ -187,8 +133,6 @@ def qa_limit_sample(p: int, v: float, kappa: float = 0.0, rng: Optional[Rng] = N
     if p < 2:
         raise ValueError("p must be at least 2")
     _check_v(v)
-    if rng is None:
-        raise ValueError("an explicit rng is required")
     return float(_qa_limit_block(p, v, kappa, 1, rng)[0])
 
 
@@ -368,22 +312,24 @@ def eigen_limit_sample(
     v: float,
     regime: str,
     kappa: float = 0.0,
-    rng: Optional[Rng] = None,
-) -> tuple[np.ndarray, Optional[EigenvectorFrame]]:
+    *,
+    rng: Rng,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """One draw of the limiting eigenvalue vector (and, on the boundary
     and below, the eigenvector frame) of √n r_n-scale spectral fluctuations.
 
     Regimes: "i" (constant spike), "ii" (shrinking, above 1/√n), "iii"
-    (boundary r_n = 1/√n), "iv" (below; v is ignored).  In regimes i/ii
-    the first eigenvalue limit is a normal scalar and no frame exists.
+    (boundary r_n = 1/√n), "iv" (below; v is ignored).  Returns
+    ``(values, frame)``: ``values`` descend after the first entry, and
+    ``frame`` is a (p, p) array whose row j is the eigenvector w_j of
+    Z_f + v e₁e₁ᵀ, signed so that w_{j1} > 0 (almost surely).  In regimes i/ii the first
+    eigenvalue limit is a normal scalar and ``frame`` is None.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     if p < 2:
         raise ValueError("p must be at least 2")
     _check_v(v)
-    if rng is None:
-        raise ValueError("an explicit rng is required")
     Zf = sample_z_elliptical(p, kappa, rng)
     if regime in ("i", "ii"):
         scale = (1.0 + v) if regime == "i" else 1.0
@@ -395,8 +341,7 @@ def eigen_limit_sample(
     lam, V = np.linalg.eigh(A)
     lam_desc = lam[::-1]
     V = V[:, ::-1]
-    signs = np.where(V[0, :] < 0, -1.0, 1.0)
-    frame = EigenvectorFrame(values=lam_desc, frame=(V * signs).T)
+    frame = (V * np.where(V[0, :] < 0, -1.0, 1.0)).T
     if regime == "iii":
         # First eigenvalue limit comes from the complementary shift
         # Z_f − diag(0, v, ..., v) = A − v·I, so it is ℓ₁(A) − v.

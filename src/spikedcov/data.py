@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Dataset", "ParseError", "load_csv", "save_csv", "banknote_fixture_path"]
+__all__ = ["Dataset", "ParseError", "load_csv", "banknote_fixture_path"]
 
 
 class ParseError(ValueError):
@@ -77,16 +77,6 @@ def load_csv(path) -> Dataset:
     if not body:
         raise ParseError("no data rows after the header", line=header_line)
     return Dataset(columns=columns, values=np.array(body, dtype=float))
-
-
-def save_csv(path, dataset: Dataset) -> None:
-    """Write a Dataset; floats use repr so a reload is bit-exact."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.columns)
-        for row in dataset.values:
-            writer.writerow([repr(float(x)) for x in row])
 
 
 def banknote_fixture_path() -> Path:

@@ -88,10 +88,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
     def inverse_apply(self, x: np.ndarray) -> np.ndarray:
         """Compute ``A^{-1} x`` through the spectral factorization."""
         lam, V = self.values, self.vectors

@@ -16,25 +16,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .distributions import Rng
 from .linalg import _check_unit
 
-__all__ = ["SpikeRate", "RadialFamily", "SpikedModel", "covariance_at", "sample", "kurtosis_of"]
+__all__ = ["SpikeRate", "RadialFamily", "SpikedModel", "sample"]
 
 
 @dataclass(frozen=True)
 class SpikeRate:
-    """Rule n ↦ r_n.  Construct via :meth:`exponent`, :meth:`constant`, or
-    :meth:`explicit`."""
+    """Rule n ↦ r_n.  Construct via :meth:`exponent` or :meth:`constant`."""
 
     kind: str
     ell: Optional[int] = None
     value: Optional[float] = None
-    fn: Optional[Callable[[int], float]] = None
 
     @classmethod
     def exponent(cls, ell: int) -> "SpikeRate":
@@ -49,21 +47,12 @@ class SpikeRate:
             raise ValueError("constant rate must be positive and finite")
         return cls(kind="constant", value=value)
 
-    @classmethod
-    def explicit(cls, fn: Callable[[int], float]) -> "SpikeRate":
-        return cls(kind="explicit", fn=fn)
-
     def at(self, n: int) -> float:
         if n < 1:
             raise ValueError("n must be positive")
         if self.kind == "exponent":
             return float(n) ** (-self.ell / 6.0)
-        if self.kind == "constant":
-            return self.value
-        r = float(self.fn(n))
-        if not (r > 0 and math.isfinite(r)):
-            raise ValueError(f"explicit rate returned invalid value {r} at n={n}")
-        return r
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -118,15 +107,8 @@ class SpikedModel:
         object.__setattr__(self, "mu", mu)
 
 
-def covariance_at(model: SpikedModel, n: int) -> np.ndarray:
-    """Population covariance sigma²(I + r_n v θ₁θ₁ᵀ) at sample size n."""
-    r = model.rate.at(n)
-    th = model.theta1
-    return model.sigma**2 * (np.eye(model.p) + r * model.v * np.outer(th, th))
-
-
 def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.ndarray:
-    """Draw an n×p sample with mean mu and covariance covariance_at(model, n).
+    """Draw an n×p sample with mean mu and covariance sigma²(I + r_n v θ₁θ₁ᵀ).
 
     The square root of the covariance has the closed form
     sigma (I + (√(1+r v) − 1) θ₁θ₁ᵀ), so no general matrix root is needed.
@@ -166,19 +148,3 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
     if model.mu.any():
         X += model.mu
     return X
-
-
-def kurtosis_of(family: RadialFamily, p: int) -> float:
-    """Elliptical kurtosis κ_p(f): 0 for Gaussian, 2/(ν−4) for Student-t(ν).
-
-    Both values were confirmed against quadrature of the defining radial
-    moment ratio p·μ_{p-1}·μ_{p+3} / ((p+2)·μ_{p+1}²) − 1 and do not
-    depend on p for these families.
-    """
-    if p < 1:
-        raise ValueError("p must be positive")
-    if family.kind == "gaussian":
-        return 0.0
-    if family.kind == "student-t":
-        return 2.0 / (family.nu - 4.0)
-    raise ValueError(f"unknown radial family {family.kind!r}")

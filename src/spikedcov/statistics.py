@@ -89,7 +89,7 @@ def summarize(X: np.ndarray) -> SampleSummary:
     Raises
     ------
     ValueError
-        If entries are not finite or n < p+1.
+        If entries are not finite, a column sum overflows, or n < p+1.
     DegeneracyError
         If the covariance is numerically rank-deficient
         (smallest eigenvalue < 1e-12 · largest).
@@ -100,10 +100,11 @@ def summarize(X: np.ndarray) -> SampleSummary:
     n, p = X.shape
     colsum = X.sum(axis=0)
     # A non-finite entry makes its column sum non-finite, so only then is
-    # X itself scanned.  A sum that overflowed over finite entries passes,
-    # and sym_eigen rejects the non-finite S it leads to.
-    if not np.isfinite(colsum).all() and not np.isfinite(X).all():
-        raise ValueError("data matrix contains non-finite entries")
+    # X itself scanned; a finite X there has a sum that overflowed.
+    if not np.isfinite(colsum).all():
+        if not np.isfinite(X).all():
+            raise ValueError("data matrix contains non-finite entries")
+        raise ValueError("column sums of the data overflow float64")
     if n < p + 1:
         raise ValueError(f"need n >= p+1 observations, got n={n}, p={p}")
     mean = colsum / n  # np.mean's own arithmetic, without its overhead

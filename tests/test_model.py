@@ -7,14 +7,9 @@ import pytest
 from scipy import integrate
 
 from spikedcov.distributions import make_rng
-from spikedcov.model import (
-    RadialFamily,
-    SpikedModel,
-    SpikeRate,
-    covariance_at,
-    kurtosis_of,
-    sample,
-)
+from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
+
+from model_oracles import covariance_at, kurtosis_of
 
 
 def unit(p, i=0):
@@ -41,14 +36,12 @@ class TestSpikeRate:
     def test_constant(self):
         assert SpikeRate.constant(0.25).at(999) == 0.25
 
-    def test_explicit_callable(self):
-        r = SpikeRate.explicit(lambda n: 1.0 / n)
-        assert r.at(50) == pytest.approx(0.02)
-
     def test_nonpositive_rate_rejected(self):
-        r = SpikeRate.explicit(lambda n: -1.0)
-        with pytest.raises(ValueError):
-            r.at(10)
+        for bad in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SpikeRate.constant(bad)
+        with pytest.raises(ValueError, match="n must be positive"):
+            SpikeRate.constant(0.5).at(0)
 
 
 class TestRadialFamily:

@@ -84,12 +84,12 @@ class TestSummarize:
                 summarize(X[:2])
 
     def test_column_sum_overflow(self):
-        # Finite entries whose column sum overflows pass the entry check;
-        # the covariance they give is not finite, and sym_eigen says so.
+        # Finite entries whose column sum overflows are named as such,
+        # not blamed on the covariance they would give.
         X = make_rng(4).standard_normal((6, 2))
         X[:, 0] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            with pytest.raises(ValueError, match="^column sums of the data overflow float64$"):
                 summarize(X)
 
     def test_mean_matches_numpy_mean_bit_for_bit(self):
