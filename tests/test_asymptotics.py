@@ -171,6 +171,15 @@ class TestQaLimitSampler:
         with pytest.raises(TypeError, match="rng"):
             qa_limit_sample(2, 0.0)
 
+    def test_rng_is_keyword_only(self):
+        # kappa is the last positional slot; a generator passed after it
+        # is refused rather than taken for the rng
+        with pytest.raises(TypeError):
+            qa_limit_sample(2, 0.0, 0.0, make_rng(0))
+        assert qa_limit_sample(2, 0.0, 0.0, rng=make_rng(0)) == qa_limit_sample(
+            2, 0.0, rng=make_rng(0)
+        )
+
     def test_p2_gap_law(self):
         # marginal check of the underlying matrix ensemble through the
         # statistic at v=0: the sampled values match 4*chi2_1 (KS, 1%)
@@ -320,6 +329,21 @@ class TestEigenLimitSample:
         assert values[0] == pytest.approx(ell[0] - v)
         np.testing.assert_allclose(values[1:], ell[1:])
 
+    def test_regime_iii_frame_diagonalizes_shifted_matrix(self):
+        # the frame belongs to Z_f + v e1e1', so its first value is
+        # values[0] + v, undoing the complementary shift
+        rng = make_rng(114)
+        v = 1.5
+        for _ in range(50):
+            Z = sample_z_elliptical(4, 0.3, copy.deepcopy(rng))
+            Z[0, 0] += v
+            values, E = eigen_limit_sample(4, v, "iii", kappa=0.3, rng=rng)
+            np.testing.assert_allclose(E @ E.T, np.eye(4), atol=1e-10)
+            assert np.all(E[:, 0] > 0)
+            shifted = values.copy()
+            shifted[0] += v
+            np.testing.assert_allclose(E @ Z @ E.T, np.diag(shifted), atol=1e-10)
+
     def test_regime_iv_frame_properties(self):
         rng = make_rng(111)
         for _ in range(50):
@@ -358,6 +382,13 @@ class TestEigenLimitSample:
             eigen_limit_sample(3, -1.0, "i", rng=make_rng(0))
         with pytest.raises(TypeError, match="rng"):
             eigen_limit_sample(3, 1.0, "iv")
+
+    def test_rng_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            eigen_limit_sample(3, 1.0, "iv", 0.0, make_rng(0))
+        by_keyword = eigen_limit_sample(3, 1.0, "iv", 0.0, rng=make_rng(0))[0]
+        default_kappa = eigen_limit_sample(3, 1.0, "iv", rng=make_rng(0))[0]
+        np.testing.assert_array_equal(by_keyword, default_kappa)
 
 
 class TestJointDensity:
