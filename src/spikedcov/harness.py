@@ -472,9 +472,22 @@ def _keep_freed_heap() -> None:
 
 
 def _init_worker() -> None:
-    """Pool worker initializer: one BLAS thread, and a heap that keeps the
-    n×p blocks each replicate frees."""
-    _set_blas_threads(1)
+    """Pool worker initializer: one BLAS thread and no idle OpenBLAS
+    helper threads, and a heap that keeps the n×p blocks each replicate
+    frees.
+
+    Setting a count in a forked process first restarts that OpenBLAS's
+    helper threads, which spin on the cores before they sleep.  Each
+    library's own pre-fork handler, ``blas_thread_shutdown_``, stops them
+    again; a call on one thread never restarts them.  A library that
+    cannot be loaded or lacks the handler keeps its helpers: a raising
+    initializer would break the pool.
+    """
+    for path in _set_blas_threads(1):
+        try:
+            ctypes.CDLL(path).blas_thread_shutdown_()
+        except (OSError, AttributeError):
+            pass
     _keep_freed_heap()
 
 
@@ -518,15 +531,17 @@ def _run_cells(config: ExperimentConfig):
         capped = _inline()
     else:
         # The grid process only waits on its workers, so its own counts
-        # stay as they are: raising a count once the pool has forked
-        # starts OpenBLAS threads that spin on the caller's cores.
+        # stay as they are: any count set once the pool has forked
+        # restarts OpenBLAS's helper threads, which spin on the caller's
+        # cores.
         capped = len(_openblas_thread_controls())
         # Each worker caps its OpenBLAS at one thread, so parallelism
         # comes from the worker count alone.  Workers fork after numpy has
         # loaded OpenBLAS, so an environment variable set then is never
-        # read, and each worker would run one BLAS thread per core.  Each
-        # worker also keeps its freed heap; the grid process's allocator
-        # belongs to the caller and is left alone.
+        # read, and each worker would run one BLAS thread per core.  The
+        # cap restarts the helpers in the worker too, so the worker stops
+        # them again.  Each worker also keeps its freed heap; the grid
+        # process's allocator belongs to the caller and is left alone.
         try:
             with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker) as pool:
                 futures = [

@@ -1,7 +1,8 @@
 """Checks that need a fresh interpreter: which modules importing and
-running spikedcov loads, and the BLAS thread cap of grids that compute
-Q_H.  Inside the test session scipy is already loaded, so neither can be
-seen here."""
+running spikedcov loads, the BLAS thread cap and OS threads of grids that
+compute Q_H, and the CSV bytes under each OpenBLAS kernel.  Inside the
+test session scipy is already loaded and OpenBLAS has picked its kernel,
+so none of these can be seen here."""
 
 import json
 import os
@@ -19,10 +20,11 @@ PRINT_SCIPY_MODULES = (
 )
 
 
-def run_fresh(code: str, *args: str) -> str:
+def run_fresh(code: str, *args: str, env_vars: dict[str, str] | None = None) -> str:
     """Run ``code`` in a new interpreter that imports spikedcov from the
-    source tree; return its standard output."""
-    env = dict(os.environ)
+    source tree, with ``env_vars`` added to its environment; return its
+    standard output."""
+    env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -58,11 +60,11 @@ def test_loads_no_scipy(case):
 
 
 # Runs a small Q_H grid with ``hpv_statistic`` wrapped so that every
-# replicate appends the thread count of each OpenBLAS then loaded to the
-# file argv[2].  Pool workers fork from the grid process and inherit the
-# wrapper.
+# replicate appends the thread count of each OpenBLAS then loaded, and the
+# number of OS threads of its process, to the file argv[2].  Pool workers
+# fork from the grid process and inherit the wrapper.
 QH_GRID = """
-import json, sys
+import json, os, sys
 from spikedcov import harness
 from spikedcov.harness import ExperimentConfig, run_experiment
 
@@ -72,8 +74,9 @@ hpv_statistic = harness.hpv_statistic
 def recording(*args):
     statistic = hpv_statistic(*args)
     threads = {path: get() for path, (get, _) in harness._openblas_thread_controls().items()}
+    os_threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
     with open(log, "a") as f:
-        f.write(json.dumps(threads) + "\\n")
+        f.write(json.dumps({"blas": threads, "os_threads": os_threads}) + "\\n")
     return statistic
 
 harness.hpv_statistic = recording
@@ -92,8 +95,82 @@ def test_qh_grid_caps_every_openblas_its_replicates_call(workers, tmp_path):
         pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
     replicates = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(replicates) == 2 * 8
-    for threads in replicates:
+    for replicate in replicates:
+        threads = replicate["blas"]
         assert set(threads.values()) == {1}, threads
         assert sorted(threads) == summary["libraries"]
     assert summary["scipy"]  # Q_H's frame loaded scipy's LAPACK
     assert summary["capped"] == len(summary["libraries"])
+
+
+def test_pooled_workers_run_no_openblas_helper_threads(tmp_path):
+    """Capping a forked worker restarts each OpenBLAS's helper threads,
+    which spin on the cores; the worker stops them again, so every
+    replicate runs in a process of one OS thread."""
+    log = tmp_path / "threads.jsonl"
+    summary = json.loads(run_fresh(QH_GRID, "2", str(log)).splitlines()[-1])
+    if not summary["libraries"]:
+        pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
+    replicates = [json.loads(line) for line in log.read_text().splitlines()]
+    if replicates[0]["os_threads"] is None:
+        pytest.skip("/proc/self/task is missing")
+    assert [r["os_threads"] for r in replicates] == [1] * len(replicates)
+
+
+# Runs small null (Gaussian, and Student-t with the pseudo-Gaussian
+# tests), highdim and regime3 grids in one process, and prints their CSVs
+# with the kernel each loaded OpenBLAS runs on, as its get-corename entry
+# point reports it.
+CORE_GRIDS = """
+import ctypes, json
+from spikedcov import harness
+from spikedcov.harness import ExperimentConfig, run_experiment
+from spikedcov.model import RadialFamily
+
+common = dict(seed=20260815, alphas=(0.05, 0.01))
+configs = [
+    ExperimentConfig("null", p=10, n=200, M=100, ells=(0, 5), **common),
+    ExperimentConfig("null", p=10, n=2000, M=40, ells=(0, 3),
+                     families=(RadialFamily.student_t(6),), pseudo=True, **common),
+    ExperimentConfig("highdim", n=200, M=10, cgrid=(0.25, 0.5), **common),
+    ExperimentConfig("regime3", p=10, n=200, M=100, vgrid=(0.0, 4.0), limit_M=2000, **common),
+]
+csvs = [run_experiment(config).to_csv() for config in configs]
+cores = {}
+for path in harness._openblas_libraries():
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        get_corename = getattr(lib, name, None)
+        if get_corename is not None:
+            get_corename.restype = ctypes.c_char_p
+            cores[path] = get_corename().decode()
+            break
+print(json.dumps({"cores": cores, "csvs": csvs}))
+"""
+
+# The names OpenBLAS reports for each core that ``OPENBLAS_CORETYPE``
+# selects.  OpenBLAS 0.3 reports its Prescott kernels as "Katmai".
+CORE_NAMES = {
+    "SkylakeX": {"SkylakeX"},
+    "Haswell": {"Haswell"},
+    "Sandybridge": {"Sandybridge"},
+    "Prescott": {"Prescott", "Katmai"},
+}
+
+
+@pytest.fixture(scope="module")
+def default_core_grids():
+    return json.loads(run_fresh(CORE_GRIDS).splitlines()[-1])
+
+
+@pytest.mark.parametrize("core", CORE_NAMES)
+def test_csv_bytes_do_not_depend_on_openblas_kernel(core, default_core_grids):
+    """The determinism contract's "whatever the BLAS build": each kernel
+    moves the statistics in their last bits, and no decision may flip."""
+    out = json.loads(run_fresh(CORE_GRIDS, env_vars={"OPENBLAS_CORETYPE": core}).splitlines()[-1])
+    if not out["cores"]:
+        pytest.skip("no OpenBLAS with a get-corename entry point is loaded")
+    if not set(out["cores"].values()) <= CORE_NAMES[core]:
+        pytest.skip(f"this build or CPU does not select {core}: {out['cores']}")
+    assert out["csvs"] == default_core_grids["csvs"]

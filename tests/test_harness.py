@@ -5,6 +5,7 @@ import ctypes
 import json
 import math
 import platform
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,6 +166,54 @@ class TestPoolWorkers:
         counts, _ = results[0]
         # Four one-replicate chunks, each reporting its worker's threads.
         np.testing.assert_array_equal(counts, np.full(len(blas_threads()), 4))
+
+    def test_initializer_survives_openblas_without_shutdown(self, monkeypatch, tmp_path):
+        harness._lapack()  # map scipy's OpenBLAS too, as a Q_H grid does
+        libraries = harness._openblas_libraries()
+        if not blas_threads():
+            pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
+        cfg = tiny_null_config(M=4, ells=(0,))
+        one = run_experiment(cfg).to_csv()
+        log = tmp_path / "denied.txt"
+        real_cdll = ctypes.CDLL
+
+        class WithoutShutdown:
+            """A loaded library that does not export ``blas_thread_shutdown_``."""
+
+            def __init__(self, lib):
+                self.lib = lib
+
+            def __getattr__(self, name):
+                if name == "blas_thread_shutdown_":
+                    with open(log, "a") as f:
+                        f.write("missing\n")
+                    raise AttributeError(name)
+                return getattr(self.lib, name)
+
+        def cdll(name, *args, **kwargs):
+            # The first OpenBLAS lacks the symbol; every other one fails to
+            # load when the initializer loads it to stop its helpers.  A
+            # forked worker inherits the patch and appends to the same log.
+            if name == libraries[0]:
+                return WithoutShutdown(real_cdll(name, *args, **kwargs))
+            if name in libraries and sys._getframe(1).f_code is harness._init_worker.__code__:
+                with open(log, "a") as f:
+                    f.write("oserror\n")
+                raise OSError(f"{name}: cannot open shared object file")
+            return real_cdll(name, *args, **kwargs)
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+        pooled = run_experiment(replace(cfg, workers=2)).to_csv()
+        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        _, results, _ = harness._run_cells(replace(cfg, workers=2))
+        denied = log.read_text().split()
+        monkeypatch.undo()
+        assert pooled == one
+        # Four one-replicate chunks, each reporting 1 thread per library.
+        np.testing.assert_array_equal(results[0][0], np.full(len(blas_threads()), 4))
+        # Each worker was denied the shutdown of every library it capped.
+        assert denied.count("missing") > 0
+        assert denied.count("oserror") == denied.count("missing") * (len(libraries) - 1)
 
     def test_initializer_is_noop_without_maps(self, monkeypatch):
         before = blas_threads()
