@@ -27,7 +27,7 @@ from .asymptotics import (
 )
 from .data import ParseError, banknote_fixture_path, load_csv
 from .distributions import make_rng
-from .harness import EXPERIMENTS, ExperimentConfig, run_experiment, run_leave_one_out
+from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
 from .linalg import DegeneracyError
 from .model import RadialFamily
 from .statistics import (
@@ -82,6 +82,25 @@ def _test_rows(
     except (DegeneracyError, ValueError) as exc:
         raise click.ClickException(str(exc))
     return rows
+
+
+def _leave_one_out_pvalues(X: np.ndarray, theta: np.ndarray, j: int, alpha: float) -> np.ndarray:
+    """Q_A's and Q_H's p-values on the sample without row i, for each
+    observation i, as an n×2 array.  With n < p + 2 every such sample has
+    a singular covariance, so that is refused before any is summarised."""
+    n, p = X.shape
+    if n < p + 2:
+        raise click.ClickException(
+            f"leave-one-out needs n >= p + 2 observations, got n={n}, p={p}"
+        )
+    pvalues = []
+    for i in range(n):
+        try:
+            s = summarize(np.delete(X, i, axis=0))
+        except (DegeneracyError, ValueError) as exc:
+            raise click.ClickException(str(exc))
+        pvalues.append([outcome.pvalue for _, outcome in _test_rows(s, theta, j, alpha)])
+    return np.array(pvalues)
 
 
 def _print_outcome_table(rows: list[tuple[str, TestOutcome]]):
@@ -326,10 +345,7 @@ def cmd_banknote(data_path, alpha):
     # The leave-one-out p-values come before any table row, so bad data
     # prints the error alone after the summary lines.
     if X is not None:
-        try:
-            pvalues = np.array(run_leave_one_out(X, theta, 2))
-        except (DegeneracyError, ValueError) as exc:
-            raise click.ClickException(str(exc))
+        pvalues = _leave_one_out_pvalues(X, theta, 2, alpha)
     click.echo(f"hypothesis: theta2 = (1,1,0,0)/sqrt(2), j=2, alpha={alpha:g}")
     _print_outcome_table(rows)
     if X is not None:

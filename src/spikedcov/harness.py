@@ -33,7 +33,6 @@ from .model import RadialFamily, SpikedModel, SpikeRate, sample
 from .statistics import (
     _nonnegative,
     anderson_statistic,
-    decide,
     hpv_statistic,
     kurtosis_from_summary,
     oracle_statistic,
@@ -45,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "CellRow",
-    "run_leave_one_out",
     "run_experiment",
 ]
 
@@ -636,26 +634,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         wall_time=time.perf_counter() - start,
         blas_capped=capped,
     )
-
-
-def run_leave_one_out(X: np.ndarray, theta0: np.ndarray, j: int = 1) -> list[tuple[float, float]]:
-    """Leave-one-out stability check: for each observation i, recompute
-    both tests on the sample without row i.  Returns n (Anderson p-value,
-    HPV p-value) pairs.  Raises ValueError for n < p + 2, where every
-    sample left has a singular covariance."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-d data matrix")
-    n, p = X.shape
-    if n < p + 2:
-        raise ValueError(f"leave-one-out needs n >= p + 2 observations, got n={n}, p={p}")
-    out = []
-    for i in range(n):
-        Xi = np.delete(X, i, axis=0)
-        s = summarize(Xi)
-        qa = anderson_statistic(s, theta0, j)
-        qh = hpv_statistic(s, theta0, j)
-        out.append(
-            (decide(qa, p - 1, 0.05).pvalue, decide(qh, p - 1, 0.05).pvalue)
-        )
-    return out

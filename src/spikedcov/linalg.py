@@ -1,7 +1,8 @@
 """Dense small-matrix kernels.
 
 Symmetric eigendecomposition with a deterministic sign convention and
-Gram-Schmidt complements of a hypothesized direction.
+the Gram-Schmidt complement of a hypothesized direction that
+``statistics.hpv_statistic`` builds Q_H from.
 
 The complement frame is one Householder QR, factored by LAPACK's
 ``dgeqrf`` and expanded by ``dorgqr`` through ``scipy.linalg.lapack``,
@@ -25,7 +26,6 @@ __all__ = [
     "DegeneracyError",
     "EigenSystem",
     "sym_eigen",
-    "gram_schmidt_complement",
 ]
 
 # Relative tolerance below which a matrix is accepted as symmetric.
@@ -88,13 +88,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    def inverse_apply(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A^{-1} x`` through the spectral factorization."""
-        lam, V = self.values, self.vectors
-        if lam.min() <= 0.0:
-            raise DegeneracyError("matrix is singular; inverse is undefined")
-        return V @ ((V.T @ x) / lam)
-
 
 def _apply_sign_convention(V: np.ndarray) -> np.ndarray:
     """``V`` with each column signed so that its entry of largest absolute
@@ -131,7 +124,7 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
     # eigh's values ascend, so reversing them gives the order that
     # argsort(lam)[::-1] gave, exact ties included.  The vectors stay
     # Fortran-ordered as that fancy index made them: BLAS products with
-    # them (inverse_apply, X @ V) round differently in another layout.
+    # them (θ₀ᵀV in Q_A, X @ V in κ̂) round differently in another layout.
     return EigenSystem(values=lam[::-1].copy(), vectors=_apply_sign_convention(V[:, ::-1]))
 
 
@@ -192,9 +185,10 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
 
     Parameters
     ----------
-    theta0 : array_like, shape (p,)
-        Unit vector (norm 1 within 1e-10).
-    eigvecs : sequence of p-1 vectors, or array of shape (p-1, p)
+    theta0 : ndarray, shape (p,)
+        Unit vector.  Not checked here: ``hpv_statistic``, the only
+        caller, has checked it.
+    eigvecs : sequence of p-1 vectors of length p, or array of shape (p-1, p)
         Typically the sample eigenvectors ordered by descending eigenvalue.
 
     Returns
@@ -210,13 +204,8 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
         built so far (``|R_kk| < 1e-12``); the message identifies the
         first offending position.
     """
-    theta0 = _check_unit(theta0, "theta0")
-    p = theta0.shape[0]
+    p = len(theta0)
     vecs = np.asarray(eigvecs, dtype=float)
-    if len(vecs) != p - 1:
-        raise ValueError(f"expected {p - 1} vectors, got {len(vecs)}")
-    if vecs.shape != (p - 1, p):
-        raise ValueError(f"every vector must have length p={p}")
     lapack = _lapack()
     geqrf_lwork, orgqr_lwork = _qr_workspaces(p)
     A = np.empty((p, p), order="F")

@@ -5,8 +5,8 @@ two tests of H0: θ_j = theta0 are provided, both asymptotically
 chi-square with p−1 degrees of freedom under suitable conditions:
 
 * ``anderson_statistic`` — the likelihood-ratio-type statistic
-  n (λ̂_j θ₀ᵀS⁻¹θ₀ + λ̂_j⁻¹ θ₀ᵀSθ₀ − 2); valid only when the spike is
-  strongly identified.
+  n (λ̂_j θ₀ᵀS⁻¹θ₀ + λ̂_j⁻¹ θ₀ᵀSθ₀ − 2), computed from the sample
+  spectrum; valid only when the spike is strongly identified.
 * ``hpv_statistic`` — the Le Cam-style statistic built from Gram-Schmidt
   complements of theta0; retains its chi-square null law across all spike
   regimes, including vanishing spikes.
@@ -153,14 +153,22 @@ def anderson_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> floa
     """Likelihood-ratio-type statistic for H0: θ_j = theta0.
 
     Q = n (λ̂_j θ₀ᵀS⁻¹θ₀ + λ̂_j⁻¹ θ₀ᵀSθ₀ − 2), chi-square(p−1) under H0
-    when the spike does not vanish asymptotically.
+    when the spike does not vanish asymptotically.  With a = V̂ᵀθ₀ the
+    coordinates of θ₀ in the sample eigenbasis, it is evaluated as
+
+        Q = n Σ_{k≠j} a_k² (λ̂_j − λ̂_k)² / (λ̂_j λ̂_k),
+
+    whose weights vanish as the eigengap closes.  Every term is
+    nonnegative, so Q never rounds below zero, even where the form above
+    cancels (theta0 near the j-th sample eigenvector).
     """
     theta0 = _check_unit(theta0, "theta0", s.p)
     j = _check_j(s, j)
-    lam_j = float(s.eigen.values[j - 1])
-    quad_inv = float(theta0 @ s.eigen.inverse_apply(theta0))
-    quad = float(theta0 @ s.cov @ theta0)
-    return s.n * (lam_j * quad_inv + quad / lam_j - 2.0)
+    lam = s.eigen.values
+    lam_j = lam[j - 1]
+    a = theta0 @ s.eigen.vectors
+    # The k = j term is exactly 0.
+    return s.n * float((a * a) @ ((lam - lam_j) ** 2 / (lam * lam_j)))
 
 
 def hpv_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> float:

@@ -46,7 +46,6 @@ PACKAGE_NAMES = {
     "chi2_quantile",
     "decide",
     "eigen_limit_sample",
-    "gram_schmidt_complement",
     "hpv_statistic",
     "joint_eigenvalue_density",
     "kurtosis_estimate",
@@ -63,7 +62,6 @@ PACKAGE_NAMES = {
     "q_delta",
     "qa_limit_sample",
     "run_experiment",
-    "run_leave_one_out",
     "sample",
     "sample_z_elliptical",
     "summarize",

@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -436,6 +437,23 @@ class TestBanknoteCommand:
         result = runner.invoke(main, ["banknote", "--data", str(f)])
         assert result.exit_code == 0, result.output
         assert "leave-one-out" in result.output
+
+    def test_leave_one_out_pvalues(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((25, 3))
+        theta = np.array([1.0, 0.0, 0.0])
+        pvalues = cli._leave_one_out_pvalues(X, theta, 1, 0.05)
+        assert pvalues.shape == (25, 2)
+        assert ((0.0 <= pvalues) & (pvalues <= 1.0)).all()
+
+    def test_leave_one_out_needs_p_plus_2_rows(self, monkeypatch):
+        # With n = p + 1 every sample left has a singular covariance; the
+        # error used to come from summarize on the first of them.
+        monkeypatch.setattr(cli, "summarize", lambda X: pytest.fail("summarize called"))
+        theta = np.array([1.0, 0.0, 0.0])
+        X = np.random.default_rng(4).standard_normal((4, 3))
+        with pytest.raises(click.ClickException, match="n >= p \\+ 2"):
+            cli._leave_one_out_pvalues(X, theta, 1, 0.05)
 
     def test_raw_data_wrong_shape_warns(self, runner, tmp_path):
         rng = make_rng(5)

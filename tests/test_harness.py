@@ -18,7 +18,6 @@ from spikedcov.cli import main
 from spikedcov.harness import (
     ExperimentConfig,
     run_experiment,
-    run_leave_one_out,
     _tau_norm,
 )
 from spikedcov.model import RadialFamily
@@ -632,25 +631,3 @@ def test_pinned_csv_bytes_and_grid_line(kind):
     assert result.to_csv() == csv
     assert grid_line in result.to_text().splitlines()
 
-
-def test_run_leave_one_out():
-    rng = np.random.default_rng(3)
-    X = rng.standard_normal((25, 3))
-    theta = np.zeros(3)
-    theta[0] = 1.0
-    pairs = run_leave_one_out(X, theta, 1)
-    assert len(pairs) == 25
-    for pa, ph in pairs:
-        assert 0.0 <= pa <= 1.0
-        assert 0.0 <= ph <= 1.0
-    with pytest.raises(ValueError):
-        run_leave_one_out(rng.standard_normal(10), theta)
-
-
-def test_leave_one_out_needs_p_plus_2_rows(monkeypatch):
-    # With n = p + 1 every sample left has a singular covariance; the
-    # error used to come from summarize on the first of them.
-    monkeypatch.setattr(harness, "summarize", lambda X: pytest.fail("summarize called"))
-    theta = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="n >= p \\+ 2"):
-        run_leave_one_out(np.random.default_rng(4).standard_normal((4, 3)), theta)

@@ -148,6 +148,25 @@ class TestAnderson:
         assert out.pvalue == pytest.approx(1.0, abs=1e-9)
         assert not out.reject
 
+    def test_small_angle_matches_closed_form(self):
+        # Σ = diag(2, 1, 1) and θ₀ at angle φ from e₁ in the (e₁, e₂)
+        # plane: Q = n sin²φ (2 − 1)² / (2·1).  The form
+        # n(λ̂₁θ₀ᵀS⁻¹θ₀ + θ₀ᵀSθ₀/λ̂₁ − 2) cancels to a relative 9e-5 here.
+        n, phi = 100_000, 1e-6
+        s = summary_from_covariance(np.diag([2.0, 1.0, 1.0]), n)
+        theta = np.array([math.cos(phi), math.sin(phi), 0.0])
+        expected = n * math.sin(phi) ** 2 / 2.0
+        assert anderson_statistic(s, theta, 1) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_never_negative_near_sample_eigenvector(self):
+        rng = make_rng(20)
+        for seed in range(300):
+            s, _ = random_summary(400, 5, 1000 + seed)
+            j = int(rng.integers(1, 6))
+            theta = s.eigen.vectors[:, j - 1] + 1e-9 * rng.standard_normal(5)
+            theta /= np.linalg.norm(theta)
+            assert anderson_statistic(s, theta, j) >= 0.0
+
     def test_index_validation(self):
         s, _ = random_summary(50, 3, 14)
         for j in (0, 4, -1):
@@ -159,10 +178,19 @@ class TestAnderson:
         with pytest.raises(DegeneracyError, match="tied"):
             anderson_statistic(s, unit(3), 2)
 
-    def test_theta0_must_be_unit(self):
+    @pytest.mark.parametrize("statistic", [anderson_statistic, hpv_statistic])
+    @pytest.mark.parametrize(
+        "theta0, message",
+        [
+            ([1.0, 1.0, 0.0], "unit"),
+            ([2.0, 0.0, 0.0], "unit"),
+            ([1.0, 0.0], "length p=3"),
+        ],
+    )
+    def test_theta0_must_be_unit(self, statistic, theta0, message):
         s, _ = random_summary(50, 3, 15)
-        with pytest.raises(ValueError, match="unit"):
-            anderson_statistic(s, np.array([1.0, 1.0, 0.0]), 1)
+        with pytest.raises(ValueError, match=message):
+            statistic(s, np.array(theta0), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_theta0_rejected(self, bad):
