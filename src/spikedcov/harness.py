@@ -28,7 +28,7 @@ import numpy as np
 
 from .asymptotics import type1_risk_iii
 from .distributions import chi2_quantile, make_rng
-from .linalg import DegeneracyError, _lapack
+from .linalg import DegeneracyError
 from .model import RadialFamily, SpikedModel, SpikeRate, sample
 from .statistics import (
     _nonnegative,
@@ -493,11 +493,6 @@ def _run_cells(config: ExperimentConfig):
     """Execute all cells; return (cells, per-cell (counts, degenerates),
     number of OpenBLAS libraries the replicates ran capped at one thread)."""
     cells = _cells_for(config)
-    if any(name == "hpv" for cell in cells for name, _ in cell.tests):
-        # Q_H's frame calls scipy's LAPACK, which maps an OpenBLAS of its
-        # own on first use.  Load it before the cap below and before the
-        # pool forks, so that it runs capped in every process too.
-        _lapack()
     jobs = []  # (cell_index, lo, hi)
     chunk = config.M if config.workers == 1 else max(1, math.ceil(config.M / (config.workers * 4)))
     for ci in range(len(cells)):

@@ -5,13 +5,18 @@ the Gram-Schmidt complement of a hypothesized direction that
 ``statistics.hpv_statistic`` builds Q_H from.
 
 The complement frame is one Householder QR, factored by LAPACK's
-``dgeqrf`` and expanded by ``dorgqr`` through ``scipy.linalg.lapack``,
-with each routine's workspace queried as ``np.linalg.qr`` does, but once
-per p rather than on every call.
-``np.linalg.qr`` runs the same two routines but costs about 25 µs of
-fixed overhead per call, more than the factorization itself at p = 10.
-Loading ``scipy.linalg`` takes about 0.2 s and maps scipy's own
-OpenBLAS, so only the frame imports it, through :func:`_lapack`.
+``dgeqrf`` and expanded by ``dorgqr``, both called through
+``numpy.linalg.lapack_lite``.  That module runs numpy's own LAPACK, the
+one ``np.linalg.qr`` runs, at numpy's integer width
+(``lapack_lite._ilp64``), so the frame has ``np.linalg.qr``'s bits.
+numpy lists it as private but present, and its own tests call both
+routines through it; ``tests/test_linalg.py`` pins the frame's bits to
+``np.linalg.qr``'s, and Tier-1 turns a ``DeprecationWarning`` raised in
+spikedcov into an error.  It is used instead of ``np.linalg.qr``, whose
+wrapper costs about 25 µs per call, more than the factorization itself
+at p = 10, and instead of scipy's LAPACK wrappers, which take about
+0.2 s to import and map a second OpenBLAS.  Each routine's workspace is
+queried once per p, where ``np.linalg.qr`` queries it on every call.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "DegeneracyError",
@@ -128,18 +134,6 @@ def sym_eigen(A: np.ndarray) -> EigenSystem:
     return EigenSystem(values=lam[::-1].copy(), vectors=_apply_sign_convention(V[:, ::-1]))
 
 
-def _lapack():
-    """scipy's LAPACK wrappers, imported on first use.
-
-    They bring scipy's own OpenBLAS, which a grid must load before it
-    caps the thread count of every loaded OpenBLAS, so the harness calls
-    this too before it runs replicates that build the frame.
-    """
-    from scipy.linalg import lapack
-
-    return lapack
-
-
 def _lapack_ok(routine: str, info: int) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
@@ -150,11 +144,11 @@ def _qr_workspaces(p: int) -> tuple[int, int]:
     """The ``lwork`` that ``dgeqrf`` and ``dorgqr`` ask for on a p×p
     factorization.  It depends only on p and on the loaded LAPACK, so it
     is queried (``lwork=-1``) once per p."""
-    lapack = _lapack()
-    work, info = lapack.dgeqrf_lwork(p, p)
+    a, tau, work = np.empty((p, p)), np.empty(p), np.empty(1)
+    info = lapack_lite.dgeqrf(p, p, a, p, tau, work, -1, 0)["info"]
     _lapack_ok("dgeqrf workspace query", info)
-    geqrf_lwork = int(work)
-    work, info = lapack.dorgqr(np.empty((p, p), order="F"), np.empty(p), lwork=-1)[1:]
+    geqrf_lwork = int(work[0])
+    info = lapack_lite.dorgqr(p, p, p, a, p, tau, work, -1, 0)["info"]
     _lapack_ok("dorgqr workspace query", info)
     return geqrf_lwork, int(work[0])
 
@@ -172,16 +166,19 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
     is the norm of input ``k`` after the earlier members are projected
     out, so a collapsed projection shows as a vanishing ``R_kk``.
 
-    The factorization is LAPACK's ``dgeqrf`` on one Fortran-ordered
-    p×p array, read for ``diag(R)`` on its diagonal, then ``dorgqr`` in
-    place for ``Q``.  Each routine's workspace is the one a query
-    (``lwork=-1``) returns, as in ``np.linalg.qr``: with the wrappers'
-    default ``lwork``, LAPACK blocks differently once p passes its
-    crossover (p ≥ 130 with this OpenBLAS), and ``Q`` would differ from
+    The factorization is LAPACK's ``dgeqrf`` from
+    ``numpy.linalg.lapack_lite``, on one C-ordered p×p array whose rows
+    are ``theta0, v_2, ..., v_p``: LAPACK reads it as the Fortran matrix
+    with those columns.  ``diag(R)`` is read off its diagonal, then
+    ``dorgqr`` overwrites it with ``Q``, whose columns are its rows, so
+    no transpose is made.  Each routine's workspace is the one a query
+    (``lwork=-1``) returns, as in ``np.linalg.qr``: with another
+    ``lwork``, LAPACK blocks differently once p passes its crossover
+    (p ≥ 130 with this OpenBLAS), and ``Q`` would differ from
     ``np.linalg.qr``'s in the last bits.  The queries are made once per p
     (:func:`_qr_workspaces`), since their answers depend only on p and
     the loaded LAPACK.  The same two routines through ``np.linalg.qr``
-    cost about 25 µs more per call.
+    give the same bits but cost about 25 µs more per call.
 
     Parameters
     ----------
@@ -205,22 +202,20 @@ def gram_schmidt_complement(theta0: np.ndarray, eigvecs) -> np.ndarray:
         first offending position.
     """
     p = len(theta0)
-    vecs = np.asarray(eigvecs, dtype=float)
-    lapack = _lapack()
     geqrf_lwork, orgqr_lwork = _qr_workspaces(p)
-    A = np.empty((p, p), order="F")
-    A[:, 0] = theta0
-    A[:, 1:] = vecs.T
-    qr, tau, _, info = lapack.dgeqrf(A, lwork=geqrf_lwork, overwrite_a=1)
-    _lapack_ok("dgeqrf", info)
-    r = qr.diagonal()[1:].copy()  # dorgqr overwrites the factored array
+    A = np.empty((p, p))  # read by LAPACK as [theta0, v_2, ..., v_p]
+    A[0] = theta0
+    A[1:] = eigvecs
+    tau, work = np.empty(p), np.empty(max(geqrf_lwork, orgqr_lwork))
+    _lapack_ok("dgeqrf", lapack_lite.dgeqrf(p, p, A, p, tau, work, geqrf_lwork, 0)["info"])
+    r = A.diagonal()[1:].copy()  # dorgqr overwrites the factored array
     small = abs(r) < 1e-12
     if small.any():
         raise DegeneracyError(
             f"Gram-Schmidt degenerate at frame position j={small.argmax() + 2}: "
             "input vector lies in the span of the current frame"
         )
-    Q, _, info = lapack.dorgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
-    _lapack_ok("dorgqr", info)
-    # No entry of r is zero here, so copysign gives -1 exactly where r < 0.
-    return (Q[:, 1:] * np.copysign(1.0, r)).T
+    _lapack_ok("dorgqr", lapack_lite.dorgqr(p, p, p, A, p, tau, work, orgqr_lwork, 0)["info"])
+    # Column k of Q is row k of A.  No entry of r is zero here, so
+    # copysign gives -1 exactly where r < 0.
+    return A[1:] * np.copysign(1.0, r)[:, None]

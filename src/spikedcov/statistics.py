@@ -240,8 +240,11 @@ def q_delta(s: SampleSummary, theta0: np.ndarray, v: float, delta: int) -> float
         raise ValueError("delta must be 0 or 1")
     if v < 0:
         raise ValueError("v must be nonnegative")
+    # (I − θ₀θ₀ᵀ)Sθ₀ as a vector, so that the value is a squared norm: the
+    # scalar form ‖Sθ₀‖² − (θ₀ᵀSθ₀)² cancels near an eigenvector of S.
     St0 = s.cov @ theta0
-    return s.n / (1.0 + delta * v) * float(St0 @ St0 - (theta0 @ St0) ** 2)
+    u = St0 - (theta0 @ St0) * theta0
+    return s.n / (1.0 + delta * v) * float(u @ u)
 
 
 def oracle_statistic(s: SampleSummary, theta0: np.ndarray, sigma_n: np.ndarray) -> float:

@@ -167,7 +167,9 @@ class TestPoolWorkers:
         np.testing.assert_array_equal(counts, np.full(len(blas_threads()), 4))
 
     def test_initializer_survives_openblas_without_shutdown(self, monkeypatch, tmp_path):
-        harness._lapack()  # map scipy's OpenBLAS too, as a Q_H grid does
+        # scipy's LAPACK maps an OpenBLAS of its own, so the patch below
+        # covers two libraries.
+        from scipy.linalg import lapack  # noqa: F401
         libraries = harness._openblas_libraries()
         if not blas_threads():
             pytest.skip("no OpenBLAS with a get-threads entry point is loaded")

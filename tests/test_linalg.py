@@ -365,6 +365,23 @@ class TestGramSchmidtOracle:
                 got = gram_schmidt_complement(theta0, given)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("p", [2, 3, 10, 50, 100, 130])
+    def test_frame_is_numpy_qr_bit_for_bit(self, p):
+        # numpy's own dgeqrf and dorgqr, with the workspaces np.linalg.qr
+        # queries, so the frame has its bits exactly
+        rng = np.random.default_rng(4000 + p)
+        V = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        for theta0, vecs in (
+            (self.unit_vector(p, rng), V[:, 1:].T),
+            (V[:, 0], V[:, 1:].T),
+            (self.unit_vector(p, rng), rng.standard_normal((p - 1, p))),
+        ):
+            expected = numpy_qr_frame(theta0, vecs)
+            for given in (vecs, list(vecs)):
+                got = gram_schmidt_complement(theta0, given)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("position", [2, 3, 6])
     def test_degenerate_position_matches_numpy_qr(self, position):
         rng = np.random.default_rng(5 + position)

@@ -367,6 +367,18 @@ class TestQDeltaAndOracle:
             )
             assert q_delta(s, theta, v, delta) == pytest.approx(expected, rel=1e-12)
 
+    def test_q_delta_never_negative_near_sample_eigenvector(self):
+        # θ₀ᵀS(I − θ₀θ₀ᵀ)Sθ₀ is a squared norm; the difference
+        # ‖Sθ₀‖² − (θ₀ᵀSθ₀)² cancels here and rounds below zero
+        rng = make_rng(20)
+        for seed in range(300):
+            s, _ = random_summary(400, 5, 1000 + seed)
+            j = int(rng.integers(1, 6))
+            theta = s.eigen.vectors[:, j - 1] + 1e-9 * rng.standard_normal(5)
+            theta /= np.linalg.norm(theta)
+            for delta, v in [(0, 1.0), (1, 2.0)]:
+                assert q_delta(s, theta, v, delta) >= 0.0
+
     def test_q_delta_validation(self):
         s, _ = random_summary(70, 3, 24)
         with pytest.raises(ValueError):
