@@ -10,7 +10,9 @@ built from the spectrum and eigenvector frame of the limit matrix Z_f
 with a rank-one shift v.  This module draws Z_f (Gaussian and elliptical,
 one construction for every κ), samples that law, estimates the resulting
 type-I risks, evaluates the joint eigenvalue density, and provides the
-noncentrality parameters and power curves of the local analysis.
+noncentrality parameters and power curves of the local analysis.  The
+risk estimator never computes the law's value: one Cholesky
+factorization per draw decides whether it exceeds the critical value.
 """
 
 from __future__ import annotations
@@ -43,14 +45,10 @@ __all__ = [
 REGIMES = ("i", "ii", "iii", "iv")
 
 # Matrices per block of the risk estimator: 2048 up to p = 10, then as
-# many as fill 1.6 MB per stacked array.  A draw does not depend on the
-# block it comes in, so the block bounds memory and keeps the stream.
+# many as fill 1.6 MB per stacked array.  The generator fills a block's
+# normals in order, so the block bounds memory and keeps the stream; it
+# is also the batch of every elementwise pass in _limit_law_hits.
 _BLOCK = 2048
-
-# Largest p at which the limit law's top eigenvalue comes from the batched
-# kernel (_top_eigenvalue_kernel) rather than one LAPACK call per matrix;
-# measured in BENCH_limit_law.json.
-_KERNEL_MAX_P = 24
 
 
 @dataclass(frozen=True)
@@ -128,132 +126,12 @@ def qa_limit_sample(p: int, v: float, kappa: float = 0.0, *, rng: Rng) -> float:
     divided by (1+κ) so that the elliptical version matches the limit of
     the kurtosis-corrected statistic.  v = 0 gives the strict-contiguity
     (vanishing spike) law.  The sum equals ‖(Z − ℓ₁I)e₁‖², so only the
-    top eigenvalue ℓ₁ is computed.
+    top eigenvalue ℓ₁ is computed, by ``np.linalg.eigvalsh``.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     _check_v(v)
     return float(_qa_limit_block(p, v, kappa, 1, rng)[0])
-
-
-def _top_eigenvalue(Z: np.ndarray) -> np.ndarray:
-    """ℓ₁ of each symmetric matrix of an (m, p, p) stack, p ≥ 2: the
-    batched kernel below up to ``_KERNEL_MAX_P``, one LAPACK call per
-    matrix above it, where that is faster."""
-    if Z.shape[1] > _KERNEL_MAX_P:
-        return np.linalg.eigvalsh(Z)[:, -1]
-    return _top_eigenvalue_kernel(Z)
-
-
-def _top_eigenvalue_kernel(Z: np.ndarray) -> np.ndarray:
-    """ℓ₁ of each symmetric matrix of a (b, p, p) stack, p ≥ 2.
-
-    The batch goes on the last, contiguous axis, so every step is an
-    elementwise pass over rows of b values.  Every sum runs in a fixed
-    order, so a matrix's ℓ₁ does not depend on the batch around it.
-    Each matrix is first scaled by the power of two that brings its
-    largest entry into [1/2, 1).  The scaling is exact, and it keeps the
-    squares and quotients below in range whatever the magnitude of Z.
-    """
-    b, p, _ = Z.shape
-    _, expo = np.frexp(np.abs(Z).max(axis=(1, 2)))
-    # One allocation for A and the reduction's two work arrays: as three
-    # ~1.5 MB arrays, glibc returned them to the system after each block
-    # and the next faulted them in again (0.7 faults per draw at p = 10).
-    work = np.empty((p * p + 2 * (p - 1) ** 2) * b)
-    A = work[: p * p * b].reshape(p, p, b)
-    np.ldexp(Z.transpose(1, 2, 0), -expo, out=A)
-    d, e2 = _householder_tridiagonal(A, work[p * p * b :].reshape(2, p - 1, p - 1, b))
-    return np.ldexp(_newton_top_root(d, e2), expo)
-
-
-def _householder_tridiagonal(A: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce each matrix of a symmetric (p, p, b) stack to tridiagonal
-    form in place, with ``work`` a (2, p − 1, p − 1, b) scratch array;
-    return the diagonal (p, b) and the squared off-diagonal (p − 1, b)."""
-    p, _, b = A.shape
-    e2 = np.empty((p - 1, b))
-    vq, update = work
-    for k in range(p - 2):
-        n = p - 1 - k
-        # Column k below the diagonal, x, becomes the reflector
-        # v = x + sign(x₀)‖x‖e₁ in place.  H = I − β v vᵀ with
-        # β = 2/vᵀv = 1/(‖x‖ |v₀|) maps x to −sign(x₀)‖x‖e₁, so the
-        # off-diagonal entry it leaves has square ‖x‖².
-        v = A[k + 1 :, k]
-        norm2 = e2[k]
-        np.multiply(v[0], v[0], out=norm2)
-        for i in range(1, n):
-            norm2 += v[i] * v[i]
-        s = np.copysign(np.sqrt(norm2), v[0])
-        v[0] += s
-        sv = s * v[0]
-        beta = np.divide(1.0, sv, out=np.zeros(b), where=sv != 0)
-        # H A₂₂ H = A₂₂ − v qᵀ − q vᵀ with y = β A₂₂ v (built in q) and
-        # q = y − (β/2)(vᵀy) v; the update is summed symmetrically, so
-        # A₂₂ stays exactly symmetric.
-        A22 = A[k + 1 :, k + 1 :]
-        q = A22[0] * v[0]
-        for j in range(1, n):
-            q += A22[j] * v[j]
-        q *= beta
-        c = v[0] * q[0]
-        for j in range(1, n):
-            c += v[j] * q[j]
-        c *= 0.5 * beta
-        q -= c * v
-        outer = np.multiply(v[:, None], q[None, :], out=vq[:n, :n])
-        A22 -= np.add(outer, outer.swapaxes(0, 1), out=update[:n, :n])
-    e2[p - 2] = A[p - 1, p - 2] * A[p - 1, p - 2]
-    return A.reshape(p * p, b)[:: p + 1], e2
-
-
-def _newton_top_root(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each symmetric tridiagonal matrix with
-    diagonal d (p, b) and squared off-diagonal e2 (p − 1, b).
-
-    Newton on f(x) = det(T − xI) = Π qᵢ, with the Sturm ratios
-    q₁ = d₁ − x, qᵢ = dᵢ − x − e²ᵢ₋₁/qᵢ₋₁ and uᵢ = qᵢ'/qᵢ, where
-    qᵢ' = −1 + (e²ᵢ₋₁/qᵢ₋₁) uᵢ₋₁; the Newton step is f/f' = 1/Σ uᵢ.  It
-    starts from the Gershgorin bound max dᵢ + |eᵢ₋₁| + |eᵢ|.  Above the
-    largest root f has no root, so each step is positive, smaller than
-    the last, and lands above ℓ₁.  A matrix leaves the active set once
-    rounding stops its step from shrinking, or makes it non-positive or
-    NaN; it keeps the last point reached.
-    """
-    p = d.shape[0]
-    e = np.sqrt(e2)
-    bound = d.copy()
-    bound[:-1] += e
-    bound[1:] += e
-    x = bound.max(axis=0)
-    top = x.copy()
-    active = np.arange(x.size)
-    last = np.full(x.size, np.inf)
-    # A qᵢ reaches 0 (or the step turns NaN) only where x has met ℓ₁ to
-    # rounding: the matrix is done, and its quotients are not used.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while active.size:
-            q = d[0] - x
-            u = -1.0 / q
-            s = u.copy()
-            for i in range(1, p):
-                t = e2[i - 1] / q
-                np.subtract(d[i], x, out=q)
-                q -= t
-                u *= t
-                u -= 1.0
-                u /= q
-                s += u
-            step = np.divide(1.0, s, out=s)
-            going = (step > 0.0) & (step < last)
-            if not going.all():
-                active, d, e2 = active[going], d[:, going], e2[:, going]
-                x, step = x[going], step[going]
-            x = x - step
-            top[active] = x
-            last = step
-    return top
 
 
 def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndarray:
@@ -266,8 +144,51 @@ def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndar
     Z = _elliptical_block(p, kappa, m, rng)
     Z[:, 0, 0] += v
     col = Z[:, :, 0].copy()
-    col[:, 0] -= _top_eigenvalue(Z)
+    col[:, 0] -= np.linalg.eigvalsh(Z)[:, -1]
     return (col * col).sum(axis=1) / (1.0 + kappa)
+
+
+def _limit_law_hits(Z: np.ndarray, c: float) -> np.ndarray:
+    """Whether ‖(Z − ℓ₁I)e₁‖² exceeds c > 0, for each symmetric matrix of
+    an (m, p, p) stack, p ≥ 2, decided without ℓ₁.  A value of exactly c
+    gives a zero pivot below and counts as a hit.
+
+    With r² = Σ_{i≥2} Z_{i1}², ‖(Z − ℓ₁I)e₁‖² = (ℓ₁ − Z₁₁)² + r², and
+    ℓ₁ ≥ Z₁₁.  So a draw is a hit iff r² ≥ c, or else iff ℓ₁ exceeds
+    t = Z₁₁ + √(c − r²), that is iff A = tI − Z is not positive definite.
+    The pivots d_j of A's square-root-free Cholesky factorization
+    A = LDLᵀ decide that: a hit is a pivot ≤ 0.  A₁₁ is set to √(c − r²)
+    itself, so that t − Z₁₁ does not cancel, and to 0 where r² ≥ c, so
+    that the first pivot decides those draws.
+
+    The batch goes on the last, contiguous axis, so every step is an
+    elementwise pass over rows of m values, and no LAPACK routine runs.
+    Column j of L comes from the columns before it (left-looking):
+    d_j L_ij = A_ij − Σ_{k<j} L_ik d_k L_jk for i ≥ j.
+    """
+    m, p, _ = Z.shape
+    A = np.negative(Z.transpose(1, 2, 0), out=np.empty((p, p, m)))
+    r2 = np.einsum("ib,ib->b", A[1:, 0], A[1:, 0])
+    s = np.sqrt(np.maximum(c - r2, 0.0))
+    # A = tI − Z with the batch last.  Only its lower triangle is read,
+    # and its diagonal ends up holding D.
+    diag = A.reshape(p * p, m)[:: p + 1]
+    diag += Z[:, 0, 0] + s
+    diag[0] = s
+    hit = np.zeros(m, dtype=bool)
+    for j in range(p):
+        col = A[j:, j]
+        if j:
+            col = col - np.einsum("ikb,kb->ib", A[j:, :j], A[j, :j] * diag[:j])
+        d = col[0]
+        positive = d > 0.0
+        hit |= ~positive
+        # A draw with a pivot ≤ 0 is decided: a zero column keeps it out of
+        # the pivots after it, and keeps their arithmetic in range.
+        inv = np.divide(1.0, d, out=np.zeros(m), where=positive)
+        diag[j] = d
+        np.multiply(col[1:], inv, out=A[j + 1 :, j])
+    return hit
 
 
 class RiskEstimate(NamedTuple):
@@ -297,12 +218,15 @@ def type1_risk_iii(
         raise ValueError("M must be at least 1")
     _check_v(v)
     _check_alpha(alpha)
-    crit = chi2_quantile(1.0 - alpha, p - 1)
+    # A draw of qa_limit_sample exceeds crit iff its ‖(Z − ℓ₁I)e₁‖²
+    # exceeds crit·(1+κ).
+    c = chi2_quantile(1.0 - alpha, p - 1) * (1.0 + kappa)
     block = max(1, min(_BLOCK, _BLOCK * 100 // (p * p)))
     hits = 0
     for done in range(0, M, block):
-        draws = _qa_limit_block(p, v, kappa, min(block, M - done), rng)
-        hits += int(np.count_nonzero(draws > crit))
+        Z = _elliptical_block(p, kappa, min(block, M - done), rng)
+        Z[:, 0, 0] += v
+        hits += int(np.count_nonzero(_limit_law_hits(Z, c)))
     risk = hits / M
     return RiskEstimate(risk=risk, se=math.sqrt(risk * (1.0 - risk) / M), M=M)
 

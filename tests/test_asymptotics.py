@@ -78,92 +78,70 @@ class TestLimitLawIdentity:
             ref = np.array([_qa_from_eigh(z, kappa) for z in Z])
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
-
-def _kernel_bound(Z: np.ndarray) -> np.ndarray:
-    """8·ε·‖Z‖_F per matrix of a stack, without overflow or underflow."""
-    scale = np.abs(Z).max(axis=(1, 2))
-    scale[scale == 0.0] = 1.0
-    Y = Z / scale[:, None, None]
-    return 8.0 * np.finfo(float).eps * scale * np.sqrt((Y * Y).sum(axis=(1, 2)))
-
-
-class TestTopEigenvalueKernel:
-    """The batched ℓ₁ kernel behind the limit law, against LAPACK."""
-
-    P_RANGE = range(2, asymptotics._KERNEL_MAX_P + 1)
-
-    @pytest.mark.parametrize("p", P_RANGE)
-    def test_matches_eigvalsh(self, p):
-        for v in (0.0, 2.0, 8.0):
-            # κ = −0.1 is below the floor −2/(p+2) from p = 19 on.
-            for kappa in (0.0, 0.5, max(-0.1, min_kappa(p))):
-                Z = asymptotics._elliptical_block(p, kappa, 300, make_rng(p))
-                Z[:, 0, 0] += v
-                got = asymptotics._top_eigenvalue_kernel(Z)
-                err = np.abs(got - np.linalg.eigvalsh(Z)[:, -1])
-                assert np.all(err <= _kernel_bound(Z)), (v, kappa, np.max(err / _kernel_bound(Z)))
-
-    @pytest.mark.parametrize("p", [2, 3, 10, asymptotics._KERNEL_MAX_P])
-    def test_structured_matrices(self, p):
-        rng = np.random.default_rng(p)
-        diagonal = np.diag(rng.standard_normal(p))
-        # The top entry last, so the Sturm ratios before it stay nonzero.
-        diagonal_top_last = np.diag(np.arange(p, dtype=float))
-        exact = [
-            (diagonal, diagonal.max()),
-            (diagonal_top_last, p - 1.0),
-            (2.5 * np.eye(p), 2.5),
-            (-3.0 * np.eye(p), -3.0),
-            (np.zeros((p, p)), 0.0),
-        ]
-        got = asymptotics._top_eigenvalue_kernel(np.array([Z for Z, _ in exact]))
-        assert got.tolist() == [top for _, top in exact]
-
-        G = rng.standard_normal((p, p))
-        goe = (G + G.T) / SQRT2
-        h = p // 2
-        # Block-diagonal matrices reduce to a reducible tridiagonal; the
-        # top block comes first in one and last in the other.
-        upper_top, lower_top = goe.copy(), goe.copy()
-        upper_top[:h, h:] = upper_top[h:, :h] = 0.0
-        lower_top[:h, h:] = lower_top[h:, :h] = 0.0
-        upper_top[:h, :h] += 10.0 * np.eye(h)
-        lower_top[h:, h:] += 10.0 * np.eye(p - h)
-        ones = np.ones((p, p))
-        spike = np.zeros((p, p))
-        spike[0, 0] = 4.0
-        others = [upper_top, lower_top, ones, spike]
-        others += [scale * goe for scale in (1e150, 1e-150, 1e300, 1e-300)]
-        Z = np.array(others)
-        err = np.abs(asymptotics._top_eigenvalue_kernel(Z) - np.linalg.eigvalsh(Z)[:, -1])
-        assert np.all(err <= _kernel_bound(Z)), err / _kernel_bound(Z)
-
-    @pytest.mark.parametrize("p", [2, 3, 10, asymptotics._KERNEL_MAX_P])
-    def test_independent_of_batch_size(self, p):
-        # With one matrix in the batch, numpy would sum along a matrix row
-        # (then contiguous) pairwise and change its bits; the kernel's
-        # sums run in a fixed order whatever the batch.
-        m = 3000
-        Z = asymptotics._elliptical_block(p, 0.0, m, make_rng(40 + p))
-        full = asymptotics._top_eigenvalue(Z)
-        for k in (1, 2, 2047, 2049):
-            np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[:k]), full[:k])
-        for i in (2047, 2048, m - 1):
-            np.testing.assert_array_equal(asymptotics._top_eigenvalue(Z[i : i + 1]), full[i : i + 1])
-
     def test_block_equals_successive_draws(self):
-        for p, kappa in ((3, 0.0), (10, 0.0), (10, 0.5), (asymptotics._KERNEL_MAX_P + 1, 0.0)):
+        for p, kappa in ((3, 0.0), (10, 0.0), (10, 0.5), (25, 0.0)):
             block = asymptotics._qa_limit_block(p, 2.0, kappa, 50, make_rng(41))
             rng = make_rng(41)
             one_by_one = [qa_limit_sample(p, 2.0, kappa, rng=rng) for _ in range(50)]
             assert block.tolist() == one_by_one, (p, kappa)
 
-    def test_lapack_above_crossover(self):
-        p = asymptotics._KERNEL_MAX_P + 1
-        Z = asymptotics._elliptical_block(p, 0.0, 20, make_rng(42))
-        np.testing.assert_array_equal(
-            asymptotics._top_eigenvalue(Z), np.linalg.eigvalsh(Z)[:, -1]
-        )
+
+class TestLimitLawHits:
+    """type1_risk_iii decides each draw by one Cholesky factorization of
+    tI − Z (asymptotics._limit_law_hits); the value path, which takes ℓ₁
+    from eigvalsh, is the oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10, 24, 25, 30])
+    def test_hits_match_the_value_path(self, p):
+        M = 256
+        for v in (0.0, 2.0, 8.0, 1e16, 1e300):
+            for kappa in sorted({0.0, 0.5, max(-0.1, min_kappa(p))}):
+                for seed in range(3):
+                    Z = asymptotics._elliptical_block(p, kappa, M, make_rng(seed))
+                    if v < 1e300:
+                        values = asymptotics._qa_limit_block(p, v, kappa, M, make_rng(seed))
+                    else:
+                        # eigvalsh's ℓ₁ is accurate to ε‖Z‖ only, and at
+                        # v = 1e300 the square of that error overflows.  There
+                        # ℓ₁ − Z₁₁ is of order r²/v, so the value is r².
+                        values = (Z[:, 1:, 0] ** 2).sum(axis=1) / (1.0 + kappa)
+                    Z[:, 0, 0] += v
+                    for alpha in (0.05, 0.01):
+                        crit = chi2_quantile(1.0 - alpha, p - 1)
+                        hits = asymptotics._limit_law_hits(Z, crit * (1.0 + kappa))
+                        est = type1_risk_iii(p, v, alpha, M, make_rng(seed), kappa=kappa)
+                        assert est.risk == np.count_nonzero(hits) / M
+                        # Only a draw within rounding of crit may be decided
+                        # differently; none is expected.
+                        differ = hits != (values > crit)
+                        assert np.all(np.abs(values[differ] - crit) <= 1e-10 * crit), (
+                            v, kappa, seed, alpha, values[differ],
+                        )
+
+    def test_known_answers(self):
+        # ‖(Z − ℓ₁I)e₁‖² against c = 4.
+        p, c = 3, 4.0
+        cases = []
+        # r² ≥ c decides alone; at r² = c the value still exceeds c, since
+        # ℓ₁ > Z₁₁ once the first column is off the diagonal.
+        for z21, hit in ((3.0, True), (2.0, True), (1.0, False)):
+            Z = np.zeros((p, p))
+            Z[1, 0] = Z[0, 1] = z21
+            cases.append((Z, hit))
+        # Diagonal: the value is (max diag − Z₁₁)².
+        for diag, hit in (((0.0, 1.0, 3.0), True), ((0.0, 1.0, 1.9), False),
+                          ((5.0, 1.0, 3.0), False), ((-1e300, 0.0, 1e300), True)):
+            cases.append((np.diag(diag), hit))
+        # Rank one, Z = λxxᵀ with ‖x‖ = 1: ℓ₁ = max(λ, 0), and the value is
+        # λ²(1 − x₁²) for λ > 0 and λ²x₁² for λ < 0.
+        x = np.array([math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
+        for lam, hit in ((3.0, True), (2.5, False), (-3.0, True), (-2.5, False)):
+            cases.append((lam * np.outer(x, x), hit))
+        Z = np.array([Z for Z, _ in cases])
+        expected = [hit for _, hit in cases]
+        assert asymptotics._limit_law_hits(Z, c).tolist() == expected
+        for i, (Z1, hit) in enumerate(cases):
+            assert asymptotics._limit_law_hits(Z1[None], c).tolist() == [hit], i
 
 
 class TestQaLimitSampler:
