@@ -91,7 +91,7 @@ class TestLimitLawHits:
     tI − Z (asymptotics._limit_law_hits); the value path, which takes ℓ₁
     from eigvalsh, is the oracle."""
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 10, 24, 25, 30])
+    @pytest.mark.parametrize("p", [*range(2, 11), 24, 25, 30])
     def test_hits_match_the_value_path(self, p):
         M = 256
         for v in (0.0, 2.0, 8.0, 1e16, 1e300):
@@ -142,6 +142,66 @@ class TestLimitLawHits:
         assert asymptotics._limit_law_hits(Z, c).tolist() == expected
         for i, (Z1, hit) in enumerate(cases):
             assert asymptotics._limit_law_hits(Z1[None], c).tolist() == [hit], i
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 24])
+    def test_structured_matrices(self, p):
+        rng = np.random.default_rng(p)
+        G = rng.standard_normal((p, p))
+        goe = (G + G.T) / SQRT2
+        h = p // 2
+        # Block-diagonal: the first column lies in the top block in one and
+        # in the lower block in the other.
+        upper_top, lower_top = goe.copy(), goe.copy()
+        upper_top[:h, h:] = upper_top[h:, :h] = 0.0
+        lower_top[:h, h:] = lower_top[h:, :h] = 0.0
+        upper_top[:h, :h] += 10.0 * np.eye(h)
+        lower_top[h:, h:] += 10.0 * np.eye(p - h)
+        diagonal = np.diag(rng.standard_normal(p))
+        spike = np.zeros((p, p))
+        spike[0, 0] = 4.0
+        # ‖(Z − ℓ₁I)e₁‖² of each matrix; the all-ones matrix has ℓ₁ = p.
+        cases = [
+            (diagonal, (np.diag(diagonal).max() - diagonal[0, 0]) ** 2),
+            (np.ones((p, p)), p * (p - 1.0)),
+            (2.5 * np.eye(p), 0.0),
+            (-3.0 * np.eye(p), 0.0),
+            (np.zeros((p, p)), 0.0),
+            (spike, 0.0),
+        ]
+        cases += [(Z, _qa_from_eigh(Z, 0.0)) for Z in (goe, upper_top, lower_top)]
+        Z, c, expected = [], [], []
+        for Zi, value in cases:
+            # Clear of the value by 1%, or c = 1 where the value is 0.
+            for ci, hit in ((0.99 * value, True), (1.01 * value, False)) if value else ((1.0, False),):
+                Z.append(Zi)
+                c.append(ci)
+                expected.append(hit)
+        got = [asymptotics._limit_law_hits(Zi[None], ci)[0] for Zi, ci in zip(Z, c)]
+        assert got == expected
+        # Z → 2ᵏZ and c → 4ᵏc scale every step by a power of two, which is
+        # exact while nothing overflows or falls subnormal.
+        for k in (-400, -1, 1, 400):
+            scaled = [
+                asymptotics._limit_law_hits(math.ldexp(1.0, k) * Zi[None], math.ldexp(ci, 2 * k))[0]
+                for Zi, ci in zip(Z, c)
+            ]
+            assert scaled == expected, k
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 24])
+    def test_independent_of_batch_size(self, p):
+        m = 3000
+        Z = asymptotics._elliptical_block(p, 0.0, m, make_rng(40 + p))
+        Z[:, 0, 0] += 2.0
+        for alpha in (0.5, 0.05, 0.01):
+            c = chi2_quantile(1.0 - alpha, p - 1)
+            full = asymptotics._limit_law_hits(Z, c)
+            assert 0 < np.count_nonzero(full) < m, alpha
+            for k in (1, 2, 2047, 2049):
+                np.testing.assert_array_equal(asymptotics._limit_law_hits(Z[:k], c), full[:k])
+            for i in (2047, 2048, m - 1):
+                np.testing.assert_array_equal(
+                    asymptotics._limit_law_hits(Z[i : i + 1], c), full[i : i + 1]
+                )
 
 
 class TestQaLimitSampler:
