@@ -2,8 +2,9 @@
 
 Every replicate draws its generator from
 ``SeedSequence((master_seed, cell_index, replicate_index))``, so results
-are independent of worker count and chunking; aggregation only ever sums
-rejection counts.  CSV output is therefore byte-identical for a given
+are independent of worker count and chunking.  Chunks return their
+statistics in replicate order, and the grid process counts rejections
+from them.  CSV output is therefore byte-identical for a given
 (config, seed) no matter how the work is scheduled.
 
 Degenerate replicates (numerically singular sample covariance, or a
@@ -26,12 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import type1_risk_iii
+from .asymptotics import asymptotic_power, ncp_hpv_iii, ncp_oracle_iii, type1_risk_iii
 from .distributions import chi2_quantile, make_rng
 from .linalg import DegeneracyError
 from .model import RadialFamily, SpikedModel, SpikeRate, sample
 from .statistics import (
-    _nonnegative,
+    NEGATIVE_ROUNDING_TOL,
     anderson_statistic,
     hpv_statistic,
     kurtosis_from_summary,
@@ -188,7 +189,7 @@ def _fmt(x: float) -> str:
 # place that decides what each experiment kind computes; everything after
 # it reads the cell records.  Everything here is deterministic in
 # (config, cell_index, replicate_index) so that any scheduling of chunks
-# reproduces the same counts.
+# reproduces the same statistics.
 # ---------------------------------------------------------------------------
 
 
@@ -353,28 +354,20 @@ def _replicate_stats(config: ExperimentConfig, cell: _Cell, rng) -> dict[str, fl
 # ---------------------------------------------------------------------------
 
 
-def _chunk_counts(config: ExperimentConfig, cell_index: int, lo: int, hi: int):
-    """Rejection counts over replicates [lo, hi) of one cell."""
+def _chunk_statistics(config: ExperimentConfig, cell_index: int, lo: int, hi: int) -> np.ndarray:
+    """Statistics of replicates [lo, hi) of one cell: one row per replicate,
+    in order, and one column per test of ``cell.tests``.  A replicate that
+    raised ``DegeneracyError`` gives a row of nan."""
     cell = _cells_for(config)[cell_index]
-    crits = [[chi2_quantile(1.0 - a, df) for a in config.alphas] for _, df in cell.tests]
-    counts = [[0] * len(config.alphas) for _ in cell.tests]
-    degenerate = 0
-    for rep in range(lo, hi):
+    out = np.full((hi - lo, len(cell.tests)), np.nan)
+    for row, rep in zip(out, range(lo, hi)):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
         try:
             stats = _replicate_stats(config, cell, rng)
-            # ``nan > crit`` is False: a non-finite or negative statistic
-            # must never pass as a non-rejection.
-            values = [_nonnegative(stats[name]) for name, _ in cell.tests]
         except DegeneracyError:
-            degenerate += 1
             continue
-        # Python floats: the same comparisons as float64 arrays, without
-        # building any per replicate.
-        for value, test_crits, test_counts in zip(values, crits, counts):
-            for ai, crit in enumerate(test_crits):
-                test_counts[ai] += value > crit
-    return np.array(counts, dtype=np.int64), degenerate
+        row[:] = [stats[name] for name, _ in cell.tests]
+    return out
 
 
 # OpenBLAS entry points that set its thread count, by build: scipy-openblas
@@ -490,38 +483,27 @@ def _init_worker() -> None:
 
 
 def _run_cells(config: ExperimentConfig):
-    """Execute all cells; return (cells, per-cell (counts, degenerates),
-    number of OpenBLAS libraries the replicates ran capped at one thread)."""
+    """Execute all cells; return (cells, each cell's ``_chunk_statistics``
+    over all its replicates, number of OpenBLAS libraries the replicates
+    ran capped at one thread)."""
     cells = _cells_for(config)
-    jobs = []  # (cell_index, lo, hi)
     chunk = config.M if config.workers == 1 else max(1, math.ceil(config.M / (config.workers * 4)))
-    for ci in range(len(cells)):
-        lo = 0
-        while lo < config.M:
-            hi = min(lo + chunk, config.M)
-            jobs.append((ci, lo, hi))
-            lo = hi
-    results: dict[int, tuple[np.ndarray, int]] = {}
+    starts = range(0, config.M, chunk)
+    # One job per chunk, cell by cell: (config, cell_index, lo, hi).
+    jobs = [
+        (config, ci, lo, min(lo + chunk, config.M)) for ci in range(len(cells)) for lo in starts
+    ]
 
-    def _absorb(ci: int, counts: np.ndarray, degen: int):
-        if ci in results:
-            prev_counts, prev_degen = results[ci]
-            results[ci] = (prev_counts + counts, prev_degen + degen)
-        else:
-            results[ci] = (counts, degen)
-
-    def _inline() -> int:
+    def _inline() -> tuple[list[np.ndarray], int]:
         # One BLAS thread for the chunks, then the caller's counts again.
         previous = _set_blas_threads(1)
         try:
-            for ci, lo, hi in jobs:
-                _absorb(ci, *_chunk_counts(config, ci, lo, hi))
+            return list(map(_chunk_statistics, *zip(*jobs))), len(previous)
         finally:
             _set_blas_threads(previous)
-        return len(previous)
 
     if config.workers == 1:
-        capped = _inline()
+        chunks, capped = _inline()
     else:
         # The grid process only waits on its workers, so its own counts
         # stay as they are: any count set once the pool has forked
@@ -537,42 +519,41 @@ def _run_cells(config: ExperimentConfig):
         # process's allocator belongs to the caller and is left alone.
         try:
             with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker) as pool:
-                futures = [
-                    (ci, pool.submit(_chunk_counts, config, ci, lo, hi)) for ci, lo, hi in jobs
-                ]
-                for ci, fut in futures:
-                    counts, degen = fut.result()
-                    _absorb(ci, counts, degen)
-        except (OSError, PermissionError) as exc:  # stripped-down environments
+                chunks = list(pool.map(_chunk_statistics, *zip(*jobs)))
+        except OSError as exc:  # stripped-down environments
             logger.warning("process pool unavailable (%s); running inline", exc)
-            results.clear()
-            capped = _inline()
-    return cells, results, capped
+            chunks, capped = _inline()
+    # Both maps return chunks in job order, so a cell's chunks are one run.
+    k = len(starts)
+    stats = [np.concatenate(chunks[ci * k : (ci + 1) * k]) for ci in range(len(cells))]
+    return cells, stats, capped
 
 
 def _row(config: ExperimentConfig, cell: _Cell, test: str, alpha, freq, se, M: int) -> CellRow:
     return CellRow(config.experiment, cell.columns, test, alpha, freq, se, M, config.seed)
 
 
-def _freq_rows(config: ExperimentConfig, cells, results) -> tuple[list[CellRow], list]:
+def _freq_rows(config: ExperimentConfig, cells, stats) -> tuple[list[CellRow], list]:
     rows: list[CellRow] = []
     degenerate = []
-    for ci, cell in enumerate(cells):
-        counts, degen = results[ci]
-        valid = config.M - degen
-        if degen:
-            degenerate.append((cell.label, degen))
-        for ti, (name, _) in enumerate(cell.tests):
-            for ai, alpha in enumerate(config.alphas):
-                freq = counts[ti, ai] / valid if valid else float("nan")
+    for cell, values in zip(cells, stats):
+        # ``nan > crit`` is False: a replicate with a non-finite statistic,
+        # or one negative beyond rounding, is degenerate, never a
+        # non-rejection.
+        ok = (np.isfinite(values) & (values >= -NEGATIVE_ROUNDING_TOL)).all(axis=1)
+        valid = int(ok.sum())
+        if valid < config.M:
+            degenerate.append((cell.label, config.M - valid))
+        for column, (name, df) in zip(values[ok].T, cell.tests):
+            for alpha in config.alphas:
+                hits = int((column > chi2_quantile(1.0 - alpha, df)).sum())
+                freq = hits / valid if valid else float("nan")
                 se = math.sqrt(freq * (1.0 - freq) / valid) if valid else float("nan")
                 rows.append(_row(config, cell, name, alpha, freq, se, valid))
     return rows, degenerate
 
 
 def _power_prediction_rows(config: ExperimentConfig, cells) -> list[CellRow]:
-    from .asymptotics import asymptotic_power, ncp_hpv_iii, ncp_oracle_iii
-
     rows = []
     for cell in cells:
         tau = _tau_norm(cell.value)
@@ -616,8 +597,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
       ``M = 0`` and ``freq = nan``.
     """
     start = time.perf_counter()
-    cells, results, capped = _run_cells(config)
-    rows, degenerate = _freq_rows(config, cells, results)
+    cells, stats, capped = _run_cells(config)
+    rows, degenerate = _freq_rows(config, cells, stats)
     if config.experiment == "power":
         rows += _power_prediction_rows(config, cells)
     elif config.experiment == "regime3":

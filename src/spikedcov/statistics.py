@@ -38,7 +38,6 @@ __all__ = [
     "summary_from_covariance",
     "anderson_statistic",
     "hpv_statistic",
-    "kurtosis_estimate",
     "kurtosis_from_summary",
     "pseudo_gaussian",
     "q_delta",
@@ -194,12 +193,6 @@ def hpv_statistic(s: SampleSummary, theta0: np.ndarray, j: int = 1) -> float:
     frame = gram_schmidt_complement(theta0, V[:, others].T)
     proj = frame @ (s.cov @ theta0)
     return s.n / lam[j - 1] * float((proj * proj / lam[others]).sum())
-
-
-def kurtosis_estimate(X: np.ndarray) -> float:
-    """Sample elliptical kurtosis κ̂ = (1/(n p (p+2))) Σ d_i⁴ − 1,
-    d_i² the squared Mahalanobis distance w.r.t. (X̄, S)."""
-    return kurtosis_from_summary(summarize(X), X)
 
 
 def kurtosis_from_summary(s: SampleSummary, X: np.ndarray) -> float:

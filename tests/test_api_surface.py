@@ -48,7 +48,6 @@ PACKAGE_NAMES = {
     "eigen_limit_sample",
     "hpv_statistic",
     "joint_eigenvalue_density",
-    "kurtosis_estimate",
     "kurtosis_from_summary",
     "load_csv",
     "local_experiment",

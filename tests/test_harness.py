@@ -58,8 +58,9 @@ def blas_threads() -> list[int]:
 
 
 def blas_threads_chunk(config, cell_index, lo, hi):
-    """Stands in for ``_chunk_counts``: reports the worker's BLAS threads."""
-    return np.array(blas_threads(), dtype=np.int64), 0
+    """Stands in for ``_chunk_statistics``: one row per chunk, the worker's
+    BLAS threads."""
+    return np.array([blas_threads()], dtype=float)
 
 
 @pytest.fixture
@@ -90,9 +91,10 @@ def no_proc_maps(monkeypatch):
 
 
 def keep_freed_heap_calls_chunk(config, cell_index, lo, hi):
-    """Stands in for ``_chunk_counts``: reports how often the process has
-    called the recording ``_keep_freed_heap`` a test put in place."""
-    return np.array([len(harness._keep_freed_heap.calls)]), 0
+    """Stands in for ``_chunk_statistics``: one row per chunk, how often the
+    process has called the recording ``_keep_freed_heap`` a test put in
+    place."""
+    return np.array([[len(harness._keep_freed_heap.calls)]], dtype=float)
 
 
 def glibc_mallopt() -> bool:
@@ -119,12 +121,12 @@ def heap_faults(config, cell_index, lo, hi):
     for _ in range(19):
         np.ones((20_000, 10))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    return np.array([faults]), 0
+    return np.array([[faults]], dtype=float)
 
-harness._chunk_counts = heap_faults
+harness._chunk_statistics = heap_faults
 cfg = harness.ExperimentConfig("null", p=3, n=60, M=2, ells=(0, 5), workers=2)
 _, results, _ = harness._run_cells(cfg)
-print(json.dumps([int(results[ci][0][0]) for ci in sorted(results)]))
+print(json.dumps([int(rows.sum()) for rows in results]))
 """
 
 
@@ -149,20 +151,20 @@ class TestPoolWorkers:
 
         recording.calls = []
         monkeypatch.setattr(harness, "_keep_freed_heap", recording)
-        monkeypatch.setattr(harness, "_chunk_counts", keep_freed_heap_calls_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", keep_freed_heap_calls_chunk)
         _, results, _ = harness._run_cells(tiny_null_config(M=4, ells=(0,), workers=workers))
         assert recording.calls == []
         # A pooled worker made the call once, as it started; the grid
         # process's own chunks see none.
-        assert results[0][0].tolist() == [4 if workers > 1 else 0]
+        assert results[0].sum(axis=0).tolist() == [4 if workers > 1 else 0]
 
     def test_pooled_worker_runs_one_blas_thread(self, monkeypatch):
         if not blas_threads():
             pytest.skip("no OpenBLAS with a get-threads entry point is loaded")
-        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", blas_threads_chunk)
         cfg = tiny_null_config(M=4, ells=(0,), workers=2)
         _, results, _ = harness._run_cells(cfg)
-        counts, _ = results[0]
+        counts = results[0].sum(axis=0)
         # Four one-replicate chunks, each reporting its worker's threads.
         np.testing.assert_array_equal(counts, np.full(len(blas_threads()), 4))
 
@@ -205,13 +207,13 @@ class TestPoolWorkers:
 
         monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
         pooled = run_experiment(replace(cfg, workers=2)).to_csv()
-        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", blas_threads_chunk)
         _, results, _ = harness._run_cells(replace(cfg, workers=2))
         denied = log.read_text().split()
         monkeypatch.undo()
         assert pooled == one
         # Four one-replicate chunks, each reporting 1 thread per library.
-        np.testing.assert_array_equal(results[0][0], np.full(len(blas_threads()), 4))
+        np.testing.assert_array_equal(results[0].sum(axis=0), np.full(len(blas_threads()), 4))
         # Each worker was denied the shutdown of every library it capped.
         assert denied.count("missing") > 0
         assert denied.count("oserror") == denied.count("missing") * (len(libraries) - 1)
@@ -235,14 +237,14 @@ class TestPoolWorkers:
     def test_one_process_grid_runs_one_blas_thread_and_restores(
         self, monkeypatch, two_blas_threads
     ):
-        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", blas_threads_chunk)
         cfg = tiny_null_config(ells=(0, 5), workers=1)
         _, results, capped = harness._run_cells(cfg)
         libraries = len(blas_threads())
         assert capped == libraries
         # One chunk per cell, each reporting 1 thread per library.
         for ci in (0, 1):
-            counts, _ = results[ci]
+            counts = results[ci].sum(axis=0)
             np.testing.assert_array_equal(counts, np.ones(libraries))
         assert blas_threads() == [2] * libraries
 
@@ -251,7 +253,7 @@ class TestPoolWorkers:
             assert blas_threads() == [1] * len(blas_threads())
             raise RuntimeError("chunk failed")
 
-        monkeypatch.setattr(harness, "_chunk_counts", failing_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", failing_chunk)
         with pytest.raises(RuntimeError, match="chunk failed"):
             harness._run_cells(tiny_null_config(workers=1))
         assert blas_threads() == [2] * len(blas_threads())
@@ -266,14 +268,27 @@ class TestPoolWorkers:
             return set_blas_threads(threads)
 
         monkeypatch.setattr(harness, "_set_blas_threads", recording)
-        monkeypatch.setattr(harness, "_chunk_counts", blas_threads_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", blas_threads_chunk)
         cfg = tiny_null_config(M=4, ells=(0,), workers=2)
         _, results, capped = harness._run_cells(cfg)
         libraries = len(blas_threads())
         assert calls == []
         assert capped == libraries
-        np.testing.assert_array_equal(results[0][0], np.full(libraries, 4))
+        np.testing.assert_array_equal(results[0].sum(axis=0), np.full(libraries, 4))
         assert blas_threads() == [2] * libraries
+
+    def test_pool_unavailable_runs_inline(self, monkeypatch, caplog):
+        cfg = tiny_null_config()
+        one = run_experiment(cfg)
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        pooled = run_experiment(replace(cfg, workers=2))
+        assert "running inline" in caplog.text
+        assert pooled.to_csv() == one.to_csv()
+        assert pooled.blas_capped == one.blas_capped
 
     def test_one_process_grid_without_maps_gives_same_csv(self, monkeypatch):
         cfg = tiny_null_config(workers=1)
@@ -284,6 +299,33 @@ class TestPoolWorkers:
         assert result.to_csv() == expected
         assert result.blas_capped == 0
         assert "blas_threads: library default (no OpenBLAS found)" in result.to_text()
+
+
+# A null grid, and a highdim grid whose c = 1.5 cell has p >= n, so that
+# every row of that cell is nan.  With two workers each cell runs in 8 and
+# 7 chunks, the last one short.
+CHUNKED_GRIDS = {
+    "null": tiny_null_config(M=30),
+    "highdim": ExperimentConfig(
+        experiment="highdim", n=40, M=25, cgrid=(0.5, 1.5), alphas=(0.05,), seed=31
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNKED_GRIDS))
+def test_cell_statistics_do_not_depend_on_workers_or_chunking(kind):
+    cfg = CHUNKED_GRIDS[kind]
+    cells, one, _ = harness._run_cells(cfg)
+    _, pooled, _ = harness._run_cells(replace(cfg, workers=2))
+    assert len(one) == len(pooled) == len(cells)
+    for ci, cell in enumerate(cells):
+        assert one[ci].shape == (cfg.M, len(cell.tests))
+        assert np.array_equal(pooled[ci], one[ci], equal_nan=True)
+        whole = harness._chunk_statistics(cfg, ci, 0, cfg.M)
+        assert np.array_equal(whole, one[ci], equal_nan=True)
+    if kind == "highdim":
+        assert not np.isnan(one[0]).any()
+        assert np.isnan(one[1]).all()
 
 
 # Grids that no replicate could run, each with one bad value.
@@ -347,7 +389,7 @@ class TestConfig:
         def no_chunk(*args):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(harness, "_chunk_counts", no_chunk)
+        monkeypatch.setattr(harness, "_chunk_statistics", no_chunk)
         with pytest.raises(ValueError):
             ExperimentConfig(experiment=experiment, **settings)
         args = ["simulate", "--experiment", experiment, "--out", str(tmp_path / "grid")]
