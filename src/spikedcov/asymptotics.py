@@ -10,9 +10,12 @@ built from the spectrum and eigenvector frame of the limit matrix Z_f
 with a rank-one shift v.  This module draws Z_f (Gaussian and elliptical,
 one construction for every κ), samples that law, estimates the resulting
 type-I risks, evaluates the joint eigenvalue density, and provides the
-noncentrality parameters and power curves of the local analysis.  The
-risk estimator never computes the law's value: one Cholesky
-factorization per draw decides whether it exceeds the critical value.
+noncentrality parameters and power curves of the local analysis.  Z_f is
+drawn in blocks with the batch on the last axis, as the lower triangles
+of a (p, p, m) array, the layout that both ``eigvalsh`` and the risk
+estimator read.  The risk estimator never computes the law's value: one
+Cholesky factorization per draw decides whether it exceeds the critical
+value.
 """
 
 from __future__ import annotations
@@ -44,11 +47,15 @@ __all__ = [
 
 REGIMES = ("i", "ii", "iii", "iv")
 
-# Matrices per block of the risk estimator: 2048 up to p = 10, then as
-# many as fill 1.6 MB per stacked array.  The generator fills a block's
-# normals in order, so the block bounds memory and keeps the stream; it
-# is also the batch of every elementwise pass in _limit_law_hits.
-_BLOCK = 2048
+# Matrices per block of the risk estimator: 2048 up to p = 5, then
+# _BLOCK // p, so each of the block's two stacked arrays holds 8p·_BLOCK
+# bytes (0.8 MB at p = 10, 2.5 MB at p = 30).  A block makes about 7p
+# numpy calls, so fewer matrices cost more per draw at large p; more of
+# them leave the core's cache at p = 10 (the sweep is in
+# BENCH_limit_law_layout.json).  The generator fills a block's normals in
+# order, so the block bounds memory and keeps the stream; it is also the
+# batch of every elementwise pass in _limit_law_hits.
+_BLOCK = 10240
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,19 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
-def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
-    """m independent draws of Z_f as an (m, p, p) stack; see
-    :func:`sample_z_elliptical`.
+def _elliptical_block(
+    p: int, kappa: float, m: int, rng: Rng, work: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """m independent draws of Z_f as a C-ordered (p, p, m) array, the
+    batch last: draw b is ``Z[:, :, b]``, and only its lower triangle
+    (i ≥ j) is written.  See :func:`sample_z_elliptical`.
+
+    ``work``, when given, is a float64 vector of at least 2mp² entries
+    that holds the normals and the returned array, so that successive
+    blocks reuse one allocation.  The normals G fill an (m, p, p) array
+    in the generator's order, and Z_ij = (G_ij + G_ji)/√(2/(1+κ)) is
+    written row by row from G's batch-last view; no full or batch-first
+    Z is formed.
 
     With Y = √(1+κ)·(G + Gᵀ)/√2, Var Y_ii = 2(1+κ) and the diagonal shift
     c·mean(diag Y) adds κ to every Cov(Z_ii, Z_jj), since
@@ -88,16 +105,27 @@ def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
     if p < 1:
         raise ValueError("p must be at least 1")
     _check_kappa(p, kappa)
-    G = rng.standard_normal((m, p, p))
-    Z = G + G.swapaxes(1, 2)
+    size = m * p * p
+    if work is None:
+        work = np.empty(2 * size)
+    G = rng.standard_normal(out=work[:size].reshape(m, p, p)).transpose(1, 2, 0)
+    Z = work[size : 2 * size].reshape(p, p, m)
     # At κ = 0 this divides by √2 itself, as the plain GOE does, so the
     # Gaussian stream keeps its bits.
-    Z /= math.sqrt(2.0 / (1.0 + kappa))
+    scale = math.sqrt(2.0 / (1.0 + kappa))
+    for i in range(p):
+        row = np.add(G[i, : i + 1], G[: i + 1, i], out=Z[i, : i + 1])
+        row /= scale
     # The radicand is ≥ 0 exactly when κ ≥ −2/(p+2); the clamp absorbs
     # the rounding slack that _check_kappa allows below the floor.
     c = math.sqrt(max(1.0 + p * kappa / (2.0 * (1.0 + kappa)), 0.0)) - 1.0
-    diag = Z.reshape(m, p * p)[:, :: p + 1]
-    diag += (c / p) * diag.sum(axis=1, keepdims=True)
+    # c = 0 at κ = 0, where the shift would add zeros.
+    if c != 0.0:
+        diag = Z.reshape(p * p, m)[:: p + 1]
+        # Σᵢ Zᵢᵢ summed along a row of the batch-first (m, p) copy: numpy
+        # sums a row pairwise and a column in order, which differ in the
+        # last bits from p = 8 on.
+        diag += (c / p) * diag.T.copy().sum(axis=1)
     return Z
 
 
@@ -116,7 +144,10 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
     exactly as one draw of the block risk estimators does.  Raises
     ValueError when κ is non-finite or below −2/(p+2).
     """
-    return _elliptical_block(p, kappa, 1, rng)[0]
+    Z = _elliptical_block(p, kappa, 1, rng).reshape(p, p)
+    upper = np.triu_indices(p, 1)
+    Z[upper] = Z.T[upper]
+    return Z
 
 
 def qa_limit_sample(p: int, v: float, kappa: float = 0.0, *, rng: Rng) -> float:
@@ -140,55 +171,53 @@ def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndar
     Expanding e₁ in the eigenvectors w_j of Z gives
     (Z − ℓ₁I)e₁ = Σ_j (ℓ_j − ℓ₁) w_{j1} w_j, so ‖(Z − ℓ₁I)e₁‖² is the
     limit-law sum Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² without the eigenvectors.
+    ``eigvalsh`` reads only the lower triangle, the one the block holds.
     """
     Z = _elliptical_block(p, kappa, m, rng)
-    Z[:, 0, 0] += v
-    col = Z[:, :, 0].copy()
-    col[:, 0] -= np.linalg.eigvalsh(Z)[:, -1]
+    Z[0, 0] += v
+    # Column 0 as rows of the batch-first (m, p) array, summed along them
+    # as every draw's own vector.
+    col = Z[:, 0].T.copy()
+    col[:, 0] -= np.linalg.eigvalsh(Z.transpose(2, 0, 1))[:, -1]
     return (col * col).sum(axis=1) / (1.0 + kappa)
 
 
 def _limit_law_hits(Z: np.ndarray, c: float) -> np.ndarray:
     """Whether ‖(Z − ℓ₁I)e₁‖² exceeds c > 0, for each symmetric matrix of
-    an (m, p, p) stack, p ≥ 2, decided without ℓ₁.  A value of exactly c
-    gives a zero pivot below and counts as a hit.
+    a C-ordered (p, p, m) array laid out as :func:`_elliptical_block`
+    returns it, p ≥ 2, decided without ℓ₁.  Only the lower triangle is
+    read, and it is overwritten.  A value of exactly c gives a zero pivot
+    below and counts as a hit.
 
     With r² = Σ_{i≥2} Z_{i1}², ‖(Z − ℓ₁I)e₁‖² = (ℓ₁ − Z₁₁)² + r², and
     ℓ₁ ≥ Z₁₁.  So a draw is a hit iff r² ≥ c, or else iff ℓ₁ exceeds
-    t = Z₁₁ + √(c − r²), that is iff A = tI − Z is not positive definite.
-    The pivots d_j of A's square-root-free Cholesky factorization
-    A = LDLᵀ decide that: a hit is a pivot ≤ 0.  A₁₁ is set to √(c − r²)
-    itself, so that t − Z₁₁ does not cancel, and to 0 where r² ≥ c, so
-    that the first pivot decides those draws.
+    t = Z₁₁ + √(c − r²), that is iff B = Z − tI is not negative definite.
+    The pivots e_j of B's square-root-free Cholesky factorization
+    B = LELᵀ decide that: a hit is a pivot ≥ 0.  B₁₁ is set to −√(c − r²)
+    itself, so that Z₁₁ − t does not cancel, and to −0 where r² ≥ c, so
+    that the first pivot decides those draws.  B is Z with t taken off
+    its diagonal, so it is factored in Z's own array.
 
-    The batch goes on the last, contiguous axis, so every step is an
-    elementwise pass over rows of m values, and no LAPACK routine runs.
-    Column j of L comes from the columns before it (left-looking):
-    d_j L_ij = A_ij − Σ_{k<j} L_ik d_k L_jk for i ≥ j.
+    Every step is an elementwise pass over rows of m values, and no
+    LAPACK routine runs.  Column j of L comes from the columns before it
+    (left-looking): e_j L_ij = B_ij − Σ_{k<j} L_ik e_k L_jk for i ≥ j.
     """
-    m, p, _ = Z.shape
-    A = np.negative(Z.transpose(1, 2, 0), out=np.empty((p, p, m)))
-    r2 = np.einsum("ib,ib->b", A[1:, 0], A[1:, 0])
+    p, _, m = Z.shape
+    r2 = np.einsum("ib,ib->b", Z[1:, 0], Z[1:, 0])
     s = np.sqrt(np.maximum(c - r2, 0.0))
-    # A = tI − Z with the batch last.  Only its lower triangle is read,
-    # and its diagonal ends up holding D.
-    diag = A.reshape(p * p, m)[:: p + 1]
-    diag += Z[:, 0, 0] + s
-    diag[0] = s
-    hit = np.zeros(m, dtype=bool)
+    # The diagonal of B, which ends up holding E.
+    diag = Z.reshape(p * p, m)[:: p + 1]
+    diag -= Z[0, 0] + s
+    diag[0] = -s
     for j in range(p):
-        col = A[j:, j]
+        col = Z[j:, j]
         if j:
-            col = col - np.einsum("ikb,kb->ib", A[j:, :j], A[j, :j] * diag[:j])
-        d = col[0]
-        positive = d > 0.0
-        hit |= ~positive
-        # A draw with a pivot ≤ 0 is decided: a zero column keeps it out of
-        # the pivots after it, and keeps their arithmetic in range.
-        inv = np.divide(1.0, d, out=np.zeros(m), where=positive)
-        diag[j] = d
-        np.multiply(col[1:], inv, out=A[j + 1 :, j])
-    return hit
+            col -= np.einsum("ikb,kb->ib", Z[j:, :j], Z[j, :j] * diag[:j])
+        # col[0] is the pivot e_j.  A draw with a pivot ≥ 0 is decided: a
+        # zero column keeps it out of the pivots after it, and keeps their
+        # arithmetic in range.
+        col[1:] *= np.divide(1.0, col[0], out=np.zeros(m), where=col[0] < 0.0)
+    return ~(diag < 0.0).all(axis=0)
 
 
 class RiskEstimate(NamedTuple):
@@ -221,11 +250,12 @@ def type1_risk_iii(
     # A draw of qa_limit_sample exceeds crit iff its ‖(Z − ℓ₁I)e₁‖²
     # exceeds crit·(1+κ).
     c = chi2_quantile(1.0 - alpha, p - 1) * (1.0 + kappa)
-    block = max(1, min(_BLOCK, _BLOCK * 100 // (p * p)))
+    block = max(1, min(2048, _BLOCK // p, M))
+    work = np.empty(2 * block * p * p)
     hits = 0
     for done in range(0, M, block):
-        Z = _elliptical_block(p, kappa, min(block, M - done), rng)
-        Z[:, 0, 0] += v
+        Z = _elliptical_block(p, kappa, min(block, M - done), rng, work)
+        Z[0, 0] += v
         hits += int(np.count_nonzero(_limit_law_hits(Z, c)))
     risk = hits / M
     return RiskEstimate(risk=risk, se=math.sqrt(risk * (1.0 - risk) / M), M=M)

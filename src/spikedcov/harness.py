@@ -326,27 +326,27 @@ def _e1(p: int) -> np.ndarray:
     return theta
 
 
-def _replicate_stats(config: ExperimentConfig, cell: _Cell, rng) -> dict[str, float]:
-    """The statistics ``cell.tests`` lists, on the replicate ``cell.draw``
-    takes from ``rng``.  A ``*_pseudo`` test follows the test it corrects,
-    and κ̂ is computed once, only when one is listed."""
+def _replicate_stats(config: ExperimentConfig, cell: _Cell, rng, row: np.ndarray) -> None:
+    """Write into ``row``, in the order of ``cell.tests``, the statistics
+    it lists, on the replicate ``cell.draw`` takes from ``rng``.  A
+    ``*_pseudo`` test follows the test it corrects, and κ̂ is computed
+    once, only when one is listed."""
     X, theta0 = cell.draw(rng)
     s = summarize(X)
-    out = {}
     kappa_hat = None
-    for name, _ in cell.tests:
+    for i, (name, df) in enumerate(cell.tests):
         if name == "anderson":
-            out[name] = anderson_statistic(s, theta0, 1)
+            row[i] = anderson_statistic(s, theta0, 1)
         elif name == "hpv":
-            out[name] = hpv_statistic(s, theta0, 1)
+            row[i] = hpv_statistic(s, theta0, 1)
         elif name == "oracle":
             sigma_null = np.eye(config.p) + config.n ** (-0.5) * config.v * np.outer(theta0, theta0)
-            out[name] = oracle_statistic(s, theta0, sigma_null)
+            row[i] = oracle_statistic(s, theta0, sigma_null)
         else:
             if kappa_hat is None:
                 kappa_hat = kurtosis_from_summary(s, X)
-            out[name] = pseudo_gaussian(out[name.removesuffix("_pseudo")], kappa_hat)
-    return out
+            corrected = cell.tests.index((name.removesuffix("_pseudo"), df))
+            row[i] = pseudo_gaussian(row[corrected], kappa_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +363,9 @@ def _chunk_statistics(config: ExperimentConfig, cell_index: int, lo: int, hi: in
     for row, rep in zip(out, range(lo, hi)):
         rng = make_rng(np.random.SeedSequence((config.seed, cell_index, rep)))
         try:
-            stats = _replicate_stats(config, cell, rng)
+            _replicate_stats(config, cell, rng, row)
         except DegeneracyError:
-            continue
-        row[:] = [stats[name] for name, _ in cell.tests]
+            row[:] = np.nan
     return out
 
 

@@ -84,7 +84,11 @@ class RadialFamily:
 @dataclass(frozen=True)
 class SpikedModel:
     """Population model: dimension p, scale sigma, spike strength v,
-    spike rate rule, spike direction theta1, location mu."""
+    spike rate rule, spike direction theta1, location mu.
+
+    ``theta1`` and ``mu`` are kept as read-only copies, so that what
+    :func:`sample` reads from them once, at construction, stays true.
+    """
 
     p: int
     sigma: float
@@ -100,11 +104,18 @@ class SpikedModel:
             raise ValueError("sigma must be positive and finite")
         if not 0 < self.v < math.inf:
             raise ValueError("v must be positive and finite")
-        object.__setattr__(self, "theta1", _check_unit(self.theta1, "theta1", self.p))
-        mu = np.zeros(self.p) if self.mu is None else np.asarray(self.mu, dtype=float)
+        theta1 = _check_unit(self.theta1, "theta1", self.p).copy()
+        mu = np.zeros(self.p) if self.mu is None else np.array(self.mu, dtype=float)
         if mu.shape != (self.p,):
             raise ValueError("mu must have length p")
+        theta1.flags.writeable = mu.flags.writeable = False
+        object.__setattr__(self, "theta1", theta1)
         object.__setattr__(self, "mu", mu)
+        # (k, θ₁ₖ) for each column k that the spike moves, and whether mu
+        # shifts the draw; not fields, so they take no part in eq or repr.
+        spike_columns = tuple((int(k), float(theta1[k])) for k in np.flatnonzero(theta1))
+        object.__setattr__(self, "_spike_columns", spike_columns)
+        object.__setattr__(self, "_shifted", bool(mu.any()))
 
 
 def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.ndarray:
@@ -125,17 +136,18 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
     r = model.rate.at(n)
     spike = math.sqrt(1.0 + r * model.v) - 1.0
     X = rng.standard_normal((n, model.p))
-    cols = np.flatnonzero(model.theta1)
+    columns = model._spike_columns
     # Column k gains u·(spike·θ₁ₖ) with u = Xθ₁.  With one non-zero
     # entry k, u is X[:, k]·θ₁ₖ exactly, so the n×p product is skipped.
-    if cols.size == 1:
-        k = cols[0]
-        X[:, k] += X[:, k] * model.theta1[k] * (spike * model.theta1[k])
+    if len(columns) == 1:
+        ((k, t),) = columns
+        col = X[:, k]
+        col += col * t * (spike * t)
     else:
         u = X @ model.theta1
         shift = np.empty(n)
-        for k in cols:
-            np.multiply(u, spike * model.theta1[k], out=shift)
+        for k, t in columns:
+            np.multiply(u, spike * t, out=shift)
             X[:, k] += shift
     if model.sigma != 1.0:
         X *= model.sigma
@@ -145,6 +157,6 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
         X *= (math.sqrt((nu - 2.0) / nu) / np.sqrt(w / nu))[:, None]
     elif family.kind != "gaussian":
         raise ValueError(f"unknown radial family {family.kind!r}")
-    if model.mu.any():
+    if model._shifted:
         X += model.mu
     return X

@@ -6,8 +6,11 @@ one, so adding, removing or swapping a public name means editing
 ``PACKAGE_NAMES`` on purpose.
 """
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,59 @@ def test_package_exports_the_module_union():
     assert len(spikedcov.__all__) == PACKAGE_SIZE
     for symbol in spikedcov.__all__:
         assert hasattr(spikedcov, symbol), symbol
+
+
+# numpy's public modules, as numpy's own public-API test lists them.
+PUBLIC_NUMPY_MODULES = {"numpy"} | {
+    f"numpy.{name}"
+    for name in (
+        "char", "ctypeslib", "dtypes", "emath", "exceptions", "fft", "lib",
+        "lib.array_utils", "lib.format", "lib.introspect", "lib.mixins", "lib.npyio",
+        "lib.recfunctions", "lib.scimath", "lib.stride_tricks", "linalg", "ma",
+        "ma.extras", "ma.mrecords", "polynomial", "polynomial.chebyshev",
+        "polynomial.hermite", "polynomial.hermite_e", "polynomial.laguerre",
+        "polynomial.legendre", "polynomial.polynomial", "random", "rec", "strings",
+        "testing", "typing",
+    )
+}
+
+# The one private numpy module the package may still import: Q_H's QR
+# frame calls LAPACK through it (see the linalg module docstring).
+ALLOWED_PRIVATE_NUMPY = {"numpy.linalg.lapack_lite"}
+
+
+def _numpy_imports(tree: ast.AST):
+    """(module, line) of each numpy module a source file imports, with
+    ``from M import name`` read as module M.name when that is a module,
+    and as M otherwise (an underscored name then counts as private)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] != "numpy":
+                continue
+            yield node.module, node.lineno
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if alias.name.startswith("_") or _is_module(full):
+                    yield full, node.lineno
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # its parent is a module, not a package
+        return False
+
+
+def test_no_private_numpy_module():
+    # A private module can change or vanish in any numpy release.
+    found = {}
+    for path in sorted(Path(spikedcov.__file__).parent.glob("*.py")):
+        for module, line in _numpy_imports(ast.parse(path.read_text(), str(path))):
+            if module not in PUBLIC_NUMPY_MODULES:
+                found.setdefault(module, []).append(f"{path.name}:{line}")
+    private = {m: where for m, where in found.items() if m not in ALLOWED_PRIVATE_NUMPY}
+    assert not private, private

@@ -10,6 +10,7 @@ Distributional oracles used here:
 """
 
 import copy
+import hashlib
 import math
 import tracemalloc
 
@@ -54,6 +55,19 @@ def _qa_from_eigh(Z: np.ndarray, kappa: float) -> float:
     return _qa_from_spectrum(lam[::-1], V[0, ::-1]) / (1.0 + kappa)
 
 
+def _full_stack(Z: np.ndarray) -> np.ndarray:
+    """The (m, p, p) stack of symmetric matrices whose lower triangles the
+    (p, p, m) array Z holds, as asymptotics._elliptical_block lays it out."""
+    L = np.tril(Z.transpose(2, 0, 1))
+    return L + np.tril(L, -1).swapaxes(1, 2)
+
+
+def _hits(Z: np.ndarray, c: float) -> np.ndarray:
+    """asymptotics._limit_law_hits on a batch-last copy of the (m, p, p)
+    stack Z, which it leaves as it is."""
+    return asymptotics._limit_law_hits(Z.transpose(1, 2, 0).copy(), c)
+
+
 class TestLimitLawIdentity:
     """The samplers use Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² = ‖(Z − ℓ₁I)e₁‖²,
     which needs only the top eigenvalue; the eigh form is the oracle."""
@@ -73,7 +87,7 @@ class TestLimitLawIdentity:
     def test_block_matches_eigh_form(self):
         for p, v, kappa in self.CASES:
             got = asymptotics._qa_limit_block(p, v, kappa, 200, make_rng(7))
-            Z = asymptotics._elliptical_block(p, kappa, 200, make_rng(7))
+            Z = _full_stack(asymptotics._elliptical_block(p, kappa, 200, make_rng(7)))
             Z[:, 0, 0] += v
             ref = np.array([_qa_from_eigh(z, kappa) for z in Z])
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
@@ -97,7 +111,7 @@ class TestLimitLawHits:
         for v in (0.0, 2.0, 8.0, 1e16, 1e300):
             for kappa in sorted({0.0, 0.5, max(-0.1, min_kappa(p))}):
                 for seed in range(3):
-                    Z = asymptotics._elliptical_block(p, kappa, M, make_rng(seed))
+                    Z = _full_stack(asymptotics._elliptical_block(p, kappa, M, make_rng(seed)))
                     if v < 1e300:
                         values = asymptotics._qa_limit_block(p, v, kappa, M, make_rng(seed))
                     else:
@@ -108,7 +122,7 @@ class TestLimitLawHits:
                     Z[:, 0, 0] += v
                     for alpha in (0.05, 0.01):
                         crit = chi2_quantile(1.0 - alpha, p - 1)
-                        hits = asymptotics._limit_law_hits(Z, crit * (1.0 + kappa))
+                        hits = _hits(Z, crit * (1.0 + kappa))
                         est = type1_risk_iii(p, v, alpha, M, make_rng(seed), kappa=kappa)
                         assert est.risk == np.count_nonzero(hits) / M
                         # Only a draw within rounding of crit may be decided
@@ -139,9 +153,9 @@ class TestLimitLawHits:
             cases.append((lam * np.outer(x, x), hit))
         Z = np.array([Z for Z, _ in cases])
         expected = [hit for _, hit in cases]
-        assert asymptotics._limit_law_hits(Z, c).tolist() == expected
+        assert _hits(Z, c).tolist() == expected
         for i, (Z1, hit) in enumerate(cases):
-            assert asymptotics._limit_law_hits(Z1[None], c).tolist() == [hit], i
+            assert _hits(Z1[None], c).tolist() == [hit], i
 
     @pytest.mark.parametrize("p", [2, 3, 10, 24])
     def test_structured_matrices(self, p):
@@ -176,13 +190,13 @@ class TestLimitLawHits:
                 Z.append(Zi)
                 c.append(ci)
                 expected.append(hit)
-        got = [asymptotics._limit_law_hits(Zi[None], ci)[0] for Zi, ci in zip(Z, c)]
+        got = [_hits(Zi[None], ci)[0] for Zi, ci in zip(Z, c)]
         assert got == expected
         # Z → 2ᵏZ and c → 4ᵏc scale every step by a power of two, which is
         # exact while nothing overflows or falls subnormal.
         for k in (-400, -1, 1, 400):
             scaled = [
-                asymptotics._limit_law_hits(math.ldexp(1.0, k) * Zi[None], math.ldexp(ci, 2 * k))[0]
+                _hits(math.ldexp(1.0, k) * Zi[None], math.ldexp(ci, 2 * k))[0]
                 for Zi, ci in zip(Z, c)
             ]
             assert scaled == expected, k
@@ -190,18 +204,122 @@ class TestLimitLawHits:
     @pytest.mark.parametrize("p", [2, 3, 10, 24])
     def test_independent_of_batch_size(self, p):
         m = 3000
-        Z = asymptotics._elliptical_block(p, 0.0, m, make_rng(40 + p))
+        Z = _full_stack(asymptotics._elliptical_block(p, 0.0, m, make_rng(40 + p)))
         Z[:, 0, 0] += 2.0
         for alpha in (0.5, 0.05, 0.01):
             c = chi2_quantile(1.0 - alpha, p - 1)
-            full = asymptotics._limit_law_hits(Z, c)
+            full = _hits(Z, c)
             assert 0 < np.count_nonzero(full) < m, alpha
             for k in (1, 2, 2047, 2049):
-                np.testing.assert_array_equal(asymptotics._limit_law_hits(Z[:k], c), full[:k])
+                np.testing.assert_array_equal(_hits(Z[:k], c), full[:k])
             for i in (2047, 2048, m - 1):
-                np.testing.assert_array_equal(
-                    asymptotics._limit_law_hits(Z[i : i + 1], c), full[i : i + 1]
-                )
+                np.testing.assert_array_equal(_hits(Z[i : i + 1], c), full[i : i + 1])
+
+
+class TestLimitLawPins:
+    """Exact outputs of the limit-law samplers and risk estimator, recorded
+    before their Z_f construction moved to the batch-last layout.  The
+    identity tests above compare paths that share one construction, so
+    only a pinned value sees a change in its bits (for example Σᵢ Zᵢᵢ of
+    the κ shift summed in another order)."""
+
+    # (p, κ, v) -> hits of type1_risk_iii(p, v, α, 300, make_rng(500 + p),
+    # kappa=κ) at α = 0.05 and 0.01; κ "min" is min_kappa(p).
+    HITS = {
+        (2, '0', 0.0): (97, 55),
+        (2, '0', 2.0): (44, 16),
+        (2, '0', 8.0): (16, 3),
+        (2, '0.5', 0.0): (97, 55),
+        (2, '0.5', 2.0): (50, 23),
+        (2, '0.5', 8.0): (18, 4),
+        (2, 'min', 0.0): (97, 55),
+        (2, 'min', 2.0): (34, 12),
+        (2, 'min', 8.0): (16, 3),
+        (3, '0', 0.0): (148, 102),
+        (3, '0', 2.0): (63, 33),
+        (3, '0', 8.0): (17, 5),
+        (3, '0.5', 0.0): (148, 102),
+        (3, '0.5', 2.0): (77, 41),
+        (3, '0.5', 8.0): (18, 6),
+        (3, 'min', 0.0): (148, 102),
+        (3, 'min', 2.0): (52, 22),
+        (3, 'min', 8.0): (16, 4),
+        (10, '0', 0.0): (275, 259),
+        (10, '0', 2.0): (211, 152),
+        (10, '0', 8.0): (29, 5),
+        (10, '0.5', 0.0): (275, 259),
+        (10, '0.5', 2.0): (223, 175),
+        (10, '0.5', 8.0): (50, 11),
+        (10, 'min', 0.0): (275, 259),
+        (10, 'min', 2.0): (198, 141),
+        (10, 'min', 8.0): (27, 5),
+        (24, '0', 0.0): (300, 300),
+        (24, '0', 2.0): (297, 293),
+        (24, '0', 8.0): (103, 53),
+        (24, '0.5', 0.0): (300, 300),
+        (24, '0.5', 2.0): (299, 296),
+        (24, '0.5', 8.0): (165, 97),
+        (24, 'min', 0.0): (300, 300),
+        (24, 'min', 2.0): (297, 291),
+        (24, 'min', 8.0): (98, 46),
+        (30, '0', 0.0): (300, 300),
+        (30, '0', 2.0): (299, 296),
+        (30, '0', 8.0): (152, 95),
+        (30, '0.5', 0.0): (300, 300),
+        (30, '0.5', 2.0): (299, 297),
+        (30, '0.5', 8.0): (213, 149),
+        (30, 'min', 0.0): (300, 300),
+        (30, 'min', 2.0): (299, 296),
+        (30, 'min', 8.0): (142, 85),
+    }
+
+    # (p, κ) -> sha256 prefixes of three successive sample_z_elliptical
+    # draws from make_rng(700 + p), and of 16 successive
+    # qa_limit_sample(p, 2.0, κ) draws from make_rng(800 + p), which the
+    # same 16 draws taken as one block equal.  A lone draw sums its
+    # diagonal alike in either layout; only the block tells them apart.
+    DRAWS = {
+        (2, 0.0): ('24a7b0142ae40357', 'b9daac3e8a292ccf'),
+        (2, 0.5): ('6a602da0dd8867ec', '8e6882d7b20c7d84'),
+        (3, 0.0): ('c3b876b240408bcb', '39a9bb65da0a98c1'),
+        (3, 0.5): ('c25aab29a614189b', 'da93cbdd6fdcd3bf'),
+        (8, 0.0): ('a91a9a23adfb342f', 'a1d71fd09441b4bd'),
+        (8, 0.5): ('be15e37bb1bb0307', '598e532eb7ec7993'),
+        (10, 0.0): ('5dfb39a95fe95d53', '42f73a8895229683'),
+        (10, 0.5): ('5c9d9154723fee6c', '47da31cc91f33145'),
+        (24, 0.0): ('51ff0cd2fc3cce53', '5026c6cddf953126'),
+        (24, 0.5): ('beb1debcec5c307e', '48afea44f5aa2d0d'),
+        (30, 0.0): ('db78798c0d9e7996', '58253f10f228719e'),
+        (30, 0.5): ('415e04bb2b768733', '69a50fb619549896'),
+    }
+
+    @staticmethod
+    def _digest(a) -> str:
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 24, 30])
+    def test_risk_hits(self, p):
+        for (q, name, v), expected in self.HITS.items():
+            if q != p:
+                continue
+            kappa = {"0": 0.0, "0.5": 0.5, "min": min_kappa(p)}[name]
+            got = []
+            for alpha in (0.05, 0.01):
+                est = type1_risk_iii(p, v, alpha, 300, make_rng(500 + p), kappa=kappa)
+                got.append(round(est.risk * est.M))
+            assert tuple(got) == expected, (p, name, v)
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 10, 24, 30])
+    def test_draws(self, p):
+        for kappa in (0.0, 0.5):
+            rng = make_rng(700 + p)
+            z = np.array([sample_z_elliptical(p, kappa, rng) for _ in range(3)])
+            rng = make_rng(800 + p)
+            q = np.array([qa_limit_sample(p, 2.0, kappa, rng=rng) for _ in range(16)])
+            block = asymptotics._qa_limit_block(p, 2.0, kappa, 16, make_rng(800 + p))
+            expected = self.DRAWS[(p, kappa)]
+            assert (self._digest(z), self._digest(q)) == expected, (p, kappa)
+            assert self._digest(block) == expected[1], (p, kappa)
 
 
 class TestQaLimitSampler:
@@ -262,7 +380,7 @@ class TestRiskEstimators:
 
     @pytest.mark.parametrize("p", [20, 30])
     def test_risk_does_not_depend_on_the_blocks(self, p):
-        # At p = 20 and 30 the estimator draws 512 and 227 matrices per
+        # At p = 20 and 30 the estimator draws 512 and 341 matrices per
         # block; the hits equal those of the same draws taken as one block.
         M, crit = 700, chi2_quantile(0.95, p - 1)
         est = type1_risk_iii(p, 1.0, 0.05, M, make_rng(113), kappa=0.5)
@@ -278,6 +396,18 @@ class TestRiskEstimators:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+    def test_memory_at_p10(self):
+        # One block's normals and Z at p = 10 take 2 × 0.8 MB; a
+        # batch-first Z, its strided copy and a fresh allocation per block
+        # took the peak to 4.9 MB.
+        tracemalloc.start()
+        try:
+            type1_risk_iii(10, 2.0, 0.05, 10_000, make_rng(115))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, peak
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 0.0, 1.0, 1.5])
     def test_invalid_alpha_names_alpha(self, alpha):

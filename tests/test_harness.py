@@ -542,8 +542,8 @@ class TestHighDim:
     def test_non_finite_statistic_counted_as_degenerate(self, monkeypatch):
         calls = iter([float("nan"), math.inf, 1e9, 0.0])
 
-        def fake_stats(config, cell, rng):
-            return {"anderson": 0.0, "hpv": next(calls)}
+        def fake_stats(config, cell, rng, row):
+            row[:] = 0.0, next(calls)
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
         cfg = ExperimentConfig(
@@ -554,12 +554,24 @@ class TestHighDim:
         hpv = [r for r in res.rows if r.test == "hpv"][0]
         assert hpv.M == 2 and hpv.freq == 0.5
 
+    def test_degenerate_replicate_leaves_a_row_of_nan(self, monkeypatch):
+        # A statistic written before another raised does not survive.
+        def fake_stats(config, cell, rng, row):
+            row[0] = 1.0
+            raise harness.DegeneracyError("tied")
+
+        monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
+        cfg = ExperimentConfig(
+            experiment="highdim", n=60, M=3, cgrid=(0.5,), alphas=(0.05,), seed=8
+        )
+        assert np.isnan(harness._chunk_statistics(cfg, 0, 0, 3)).all()
+
     def test_negative_statistic_counted_as_degenerate(self, monkeypatch):
         # -5 and -1e-6 are not rounding; -1e-15 is, and counts as 0
         calls = iter([-5.0, -1e-6, -1e-15, 1e9, 0.0])
 
-        def fake_stats(config, cell, rng):
-            return {"anderson": 0.0, "hpv": next(calls)}
+        def fake_stats(config, cell, rng, row):
+            row[:] = 0.0, next(calls)
 
         monkeypatch.setattr(harness, "_replicate_stats", fake_stats)
         cfg = ExperimentConfig(

@@ -110,6 +110,24 @@ class TestSpikedModel:
                     p=3, sigma=1.0, v=1.0, rate=SpikeRate.constant(), theta1=[bad, 0.0, 0.0]
                 )
 
+    def test_arrays_are_read_only_copies(self):
+        # sample reads the spike's columns and whether mu is zero once, at
+        # construction, so neither array may change afterwards.
+        theta, mu = unit(3), np.zeros(3)
+        model = SpikedModel(
+            p=3, sigma=1.0, v=1.0, rate=SpikeRate.constant(), theta1=theta, mu=mu
+        )
+        theta[:] = 0.0, 1.0, 0.0
+        mu[:] = 5.0
+        np.testing.assert_array_equal(model.theta1, unit(3))
+        np.testing.assert_array_equal(model.mu, np.zeros(3))
+        for array in (model.theta1, model.mu):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+        X = sample(model, 50, RadialFamily.gaussian(), make_rng(3))
+        G = make_rng(3).standard_normal((50, 3))
+        np.testing.assert_array_equal(X[:, 1:], G[:, 1:])
+
     @pytest.mark.parametrize("field", ["sigma", "v"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -np.inf])
     def test_scale_and_spike_must_be_positive_and_finite(self, field, bad):
