@@ -10,12 +10,13 @@ built from the spectrum and eigenvector frame of the limit matrix Z_f
 with a rank-one shift v.  This module draws Z_f (Gaussian and elliptical,
 one construction for every κ), samples that law, estimates the resulting
 type-I risks, evaluates the joint eigenvalue density, and provides the
-noncentrality parameters and power curves of the local analysis.  Z_f is
-drawn in blocks with the batch on the last axis, as the lower triangles
-of a (p, p, m) array, the layout that both ``eigvalsh`` and the risk
-estimator read.  The risk estimator never computes the law's value: one
-Cholesky factorization per draw decides whether it exceeds the critical
-value.
+noncentrality parameters and power curves of the local analysis.  The
+samplers draw Z_f in blocks with the batch on the last axis, as the
+lower triangles of a (p, p, m) array, the layout ``eigvalsh`` reads.  The
+risk estimator draws no Z_f: the law is that of a tridiagonal matrix
+with independent entries (the β = 1 model of Dumitriu and Edelman), and
+one O(p) Sturm recurrence per draw decides whether its value exceeds the
+critical value, without computing it.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ __all__ = [
 
 REGIMES = ("i", "ii", "iii", "iv")
 
-# Matrices per block of the risk estimator: 2048 up to p = 5, then
-# _BLOCK // p, so each of the block's two stacked arrays holds 8p·_BLOCK
-# bytes (0.8 MB at p = 10, 2.5 MB at p = 30).  A block makes about 7p
-# numpy calls, so fewer matrices cost more per draw at large p; more of
-# them leave the core's cache at p = 10 (the sweep is in
-# BENCH_limit_law_layout.json).  The generator fills a block's normals in
-# order, so the block bounds memory and keeps the stream; it is also the
-# batch of every elementwise pass in _limit_law_hits.
-_BLOCK = 10240
+# Draws per block of the risk estimator, at every p.  A block's diagonal
+# and squared subdiagonal are (p, _BLOCK) and (p − 1, _BLOCK) arrays, 16p
+# bytes per draw in all (0.33 MB at p = 10, 1.6 MB at p = 50), and the
+# recurrence's passes are rows of _BLOCK values.  The cost per draw is
+# flat from 1024 to 16384 draws (BENCH_limit_law_tridiagonal.json).  The
+# block fixes the order in which the generator's values reach the draws,
+# so it depends on nothing a caller passes, and M only cuts the last one.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
-def _elliptical_block(
-    p: int, kappa: float, m: int, rng: Rng, work: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
     """m independent draws of Z_f as a C-ordered (p, p, m) array, the
     batch last: draw b is ``Z[:, :, b]``, and only its lower triangle
     (i ≥ j) is written.  See :func:`sample_z_elliptical`.
 
-    ``work``, when given, is a float64 vector of at least 2mp² entries
-    that holds the normals and the returned array, so that successive
-    blocks reuse one allocation.  The normals G fill an (m, p, p) array
-    in the generator's order, and Z_ij = (G_ij + G_ji)/√(2/(1+κ)) is
-    written row by row from G's batch-last view; no full or batch-first
-    Z is formed.
+    The normals G fill an (m, p, p) array in the generator's order, and
+    Z_ij = (G_ij + G_ji)/√(2/(1+κ)) is written row by row from G's
+    batch-last view; no full or batch-first Z is formed.
 
     With Y = √(1+κ)·(G + Gᵀ)/√2, Var Y_ii = 2(1+κ) and the diagonal shift
     c·mean(diag Y) adds κ to every Cov(Z_ii, Z_jj), since
@@ -105,11 +100,8 @@ def _elliptical_block(
     if p < 1:
         raise ValueError("p must be at least 1")
     _check_kappa(p, kappa)
-    size = m * p * p
-    if work is None:
-        work = np.empty(2 * size)
-    G = rng.standard_normal(out=work[:size].reshape(m, p, p)).transpose(1, 2, 0)
-    Z = work[size : 2 * size].reshape(p, p, m)
+    G = rng.standard_normal((m, p, p)).transpose(1, 2, 0)
+    Z = np.empty((p, p, m))
     # At κ = 0 this divides by √2 itself, as the plain GOE does, so the
     # Gaussian stream keeps its bits.
     scale = math.sqrt(2.0 / (1.0 + kappa))
@@ -141,7 +133,7 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
 
     At κ = 0 the scale is 1 and c = 0, so Z_f is the Gaussian orthogonal
     ensemble (G + Gᵀ)/√2 bit for bit.  The draw uses the generator
-    exactly as one draw of the block risk estimators does.  Raises
+    exactly as one draw of :func:`qa_limit_sample`'s blocks does.  Raises
     ValueError when κ is non-finite or below −2/(p+2).
     """
     Z = _elliptical_block(p, kappa, 1, rng).reshape(p, p)
@@ -182,42 +174,47 @@ def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndar
     return (col * col).sum(axis=1) / (1.0 + kappa)
 
 
-def _limit_law_hits(Z: np.ndarray, c: float) -> np.ndarray:
-    """Whether ‖(Z − ℓ₁I)e₁‖² exceeds c > 0, for each symmetric matrix of
-    a C-ordered (p, p, m) array laid out as :func:`_elliptical_block`
-    returns it, p ≥ 2, decided without ℓ₁.  Only the lower triangle is
-    read, and it is overwritten.  A value of exactly c gives a zero pivot
-    below and counts as a hit.
+def _tridiagonal_block(p: int, m: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """m draws of the Gaussian (κ = 0) limit matrix's tridiagonal model,
+    batch last: the (p, m) diagonal d and the (p − 1, m) squared
+    subdiagonal e2, row 0 of which is r² = Σ_{i≥2} Z_{i1}².
 
-    With r² = Σ_{i≥2} Z_{i1}², ‖(Z − ℓ₁I)e₁‖² = (ℓ₁ − Z₁₁)² + r², and
-    ℓ₁ ≥ Z₁₁.  So a draw is a hit iff r² ≥ c, or else iff ℓ₁ exceeds
-    t = Z₁₁ + √(c − r²), that is iff B = Z − tI is not negative definite.
-    The pivots e_j of B's square-root-free Cholesky factorization
-    B = LELᵀ decide that: a hit is a pivot ≥ 0.  B₁₁ is set to −√(c − r²)
-    itself, so that Z₁₁ − t does not cancel, and to −0 where r² ≥ c, so
-    that the first pivot decides those draws.  B is Z with t taken off
-    its diagonal, so it is factored in Z's own array.
-
-    Every step is an elementwise pass over rows of m values, and no
-    LAPACK routine runs.  Column j of L comes from the columns before it
-    (left-looking): e_j L_ij = B_ij − Σ_{k<j} L_ik e_k L_jk for i ≥ j.
+    A Householder reduction that fixes e₁ takes the GOE Z to a
+    tridiagonal T with Z's eigenvalues and T₁₁ = Z₁₁, T₂₁² = r², and T's
+    entries are independent: T_kk ~ N(0, 2) and T_{k+1,k}² ~ χ²_{p−k}
+    (Dumitriu and Edelman, "Matrix models for beta ensembles", J. Math.
+    Phys. 43 (2002), at β = 1).  The block takes pm normals, then p − 1
+    chi-squares per draw.
     """
-    p, _, m = Z.shape
-    r2 = np.einsum("ib,ib->b", Z[1:, 0], Z[1:, 0])
-    s = np.sqrt(np.maximum(c - r2, 0.0))
-    # The diagonal of B, which ends up holding E.
-    diag = Z.reshape(p * p, m)[:: p + 1]
-    diag -= Z[0, 0] + s
-    diag[0] = -s
-    for j in range(p):
-        col = Z[j:, j]
-        if j:
-            col -= np.einsum("ikb,kb->ib", Z[j:, :j], Z[j, :j] * diag[:j])
-        # col[0] is the pivot e_j.  A draw with a pivot ≥ 0 is decided: a
-        # zero column keeps it out of the pivots after it, and keeps their
-        # arithmetic in range.
-        col[1:] *= np.divide(1.0, col[0], out=np.zeros(m), where=col[0] < 0.0)
-    return ~(diag < 0.0).all(axis=0)
+    d = rng.standard_normal((p, m))
+    d *= math.sqrt(2.0)
+    e2 = rng.chisquare(np.arange(p - 1, 0, -1.0)[:, None], (p - 1, m))
+    return d, e2
+
+
+def _tridiagonal_hits(d: np.ndarray, e2: np.ndarray, c: float) -> np.ndarray:
+    """Whether ‖(T − ℓ₁I)e₁‖² ≥ c > 0, for each symmetric tridiagonal T
+    of a block laid out as :func:`_tridiagonal_block` returns it, p ≥ 2,
+    decided without ℓ₁.  d is overwritten with the pivots.
+
+    ‖(T − ℓ₁I)e₁‖² = (ℓ₁ − d₀)² + r² with r² = e2₀, and ℓ₁ ≥ d₀.  So a draw
+    is a hit iff r² ≥ c, or else iff ℓ₁ ≥ t = d₀ + s with s = √(c − r²),
+    that is iff T − tI is not negative definite.  The pivots of its LDLᵀ
+    factorization, e₀ = −s and e_k = (d_k − t) − e2_{k−1}/e_{k−1}, decide
+    that (Sturm): a hit is a pivot ≥ 0.  The first pivot is −s itself, so
+    d₀ − t does not cancel, and −0 where r² ≥ c, so that it decides
+    those draws; a value of exactly c is a hit.  A decided draw's inverse
+    pivot is 0, which keeps the pivots after it in range.
+    """
+    s = np.sqrt(np.maximum(c - e2[0], 0.0))
+    d -= d[0] + s
+    d[0] = -s
+    q = np.empty(d.shape[1])
+    for k in range(1, d.shape[0]):
+        q.fill(0.0)
+        np.divide(e2[k - 1], d[k - 1], out=q, where=d[k - 1] < 0.0)
+        d[k] -= q
+    return ~(d < 0.0).all(axis=0)
 
 
 class RiskEstimate(NamedTuple):
@@ -236,10 +233,16 @@ def type1_risk_iii(
     v = 0 gives the risk below the contiguity rate (vanishing spike).
 
     The optional ``kappa`` switches to the elliptical limit law of the
-    kurtosis-corrected statistic, drawn through :func:`sample_z_elliptical`'s
-    construction in blocks; it raises ValueError when κ is non-finite or
-    below −2/(p+2).  A negative or non-finite v, or alpha outside (0, 1),
-    raises ValueError too.
+    kurtosis-corrected statistic; it raises ValueError when κ is
+    non-finite or below −2/(p+2).  A negative or non-finite v, or alpha
+    outside (0, 1), raises ValueError too.
+
+    Each draw is decided on the tridiagonal model of Z_f + v e₁e₁ᵀ
+    (:func:`_tridiagonal_block`) by :func:`_tridiagonal_hits`.  κ enters
+    only through v: Z_f is √(1+κ) times a GOE plus a multiple of I, the
+    shift moves ℓ₁ and Z₁₁ alike, and the law's division by 1+κ undoes
+    the scale, so the risk at (v, κ) is the Gaussian risk at v/√(1+κ).
+    The result is fixed by (p, v, κ, alpha, M, rng).
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -247,16 +250,14 @@ def type1_risk_iii(
         raise ValueError("M must be at least 1")
     _check_v(v)
     _check_alpha(alpha)
-    # A draw of qa_limit_sample exceeds crit iff its ‖(Z − ℓ₁I)e₁‖²
-    # exceeds crit·(1+κ).
-    c = chi2_quantile(1.0 - alpha, p - 1) * (1.0 + kappa)
-    block = max(1, min(2048, _BLOCK // p, M))
-    work = np.empty(2 * block * p * p)
+    _check_kappa(p, kappa)
+    v = v / math.sqrt(1.0 + kappa)
+    c = chi2_quantile(1.0 - alpha, p - 1)
     hits = 0
-    for done in range(0, M, block):
-        Z = _elliptical_block(p, kappa, min(block, M - done), rng, work)
-        Z[0, 0] += v
-        hits += int(np.count_nonzero(_limit_law_hits(Z, c)))
+    for done in range(0, M, _BLOCK):
+        d, e2 = _tridiagonal_block(p, min(_BLOCK, M - done), rng)
+        d[0] += v
+        hits += int(np.count_nonzero(_tridiagonal_hits(d, e2, c)))
     risk = hits / M
     return RiskEstimate(risk=risk, se=math.sqrt(risk * (1.0 - risk) / M), M=M)
 

@@ -62,10 +62,24 @@ def _full_stack(Z: np.ndarray) -> np.ndarray:
     return L + np.tril(L, -1).swapaxes(1, 2)
 
 
-def _hits(Z: np.ndarray, c: float) -> np.ndarray:
-    """asymptotics._limit_law_hits on a batch-last copy of the (m, p, p)
-    stack Z, which it leaves as it is."""
-    return asymptotics._limit_law_hits(Z.transpose(1, 2, 0).copy(), c)
+def _dense_tridiagonal(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """The (m, p, p) stack of the lower triangles of the symmetric
+    tridiagonal matrices with (p, m) diagonal d and (p − 1, m) squared
+    subdiagonal e2, laid out as asymptotics._tridiagonal_block draws
+    them; eigvalsh reads only that triangle."""
+    p, m = d.shape
+    T = np.zeros((m, p, p))
+    i = np.arange(p)
+    T[:, i, i] = d.T
+    T[:, i[1:], i[:-1]] = np.sqrt(e2.T)
+    return T
+
+
+def _tridiagonal_hits(d, e2, c: float) -> np.ndarray:
+    """asymptotics._tridiagonal_hits on a copy of d, which it overwrites;
+    a division by zero, an overflow or a nan in the kernel raises."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return asymptotics._tridiagonal_hits(np.array(d, dtype=float), np.asarray(e2, float), c)
 
 
 class TestLimitLawIdentity:
@@ -100,177 +114,214 @@ class TestLimitLawIdentity:
             assert block.tolist() == one_by_one, (p, kappa)
 
 
-class TestLimitLawHits:
-    """type1_risk_iii decides each draw by one Cholesky factorization of
-    tI − Z (asymptotics._limit_law_hits); the value path, which takes ℓ₁
-    from eigvalsh, is the oracle."""
+class TestTridiagonalHits:
+    """type1_risk_iii decides each draw by a Sturm (LDLᵀ) recurrence on
+    the limit matrix's tridiagonal model (asymptotics._tridiagonal_hits);
+    the value (ℓ₁ − T₁₁)² + r², with ℓ₁ from eigvalsh on the dense T, is
+    the oracle."""
 
-    @pytest.mark.parametrize("p", [*range(2, 11), 24, 25, 30])
+    @pytest.mark.parametrize("p", [*range(2, 11), 24, 25, 30, 50])
     def test_hits_match_the_value_path(self, p):
         M = 256
         for v in (0.0, 2.0, 8.0, 1e16, 1e300):
-            for kappa in sorted({0.0, 0.5, max(-0.1, min_kappa(p))}):
-                for seed in range(3):
-                    Z = _full_stack(asymptotics._elliptical_block(p, kappa, M, make_rng(seed)))
-                    if v < 1e300:
-                        values = asymptotics._qa_limit_block(p, v, kappa, M, make_rng(seed))
-                    else:
-                        # eigvalsh's ℓ₁ is accurate to ε‖Z‖ only, and at
-                        # v = 1e300 the square of that error overflows.  There
-                        # ℓ₁ − Z₁₁ is of order r²/v, so the value is r².
-                        values = (Z[:, 1:, 0] ** 2).sum(axis=1) / (1.0 + kappa)
-                    Z[:, 0, 0] += v
-                    for alpha in (0.05, 0.01):
-                        crit = chi2_quantile(1.0 - alpha, p - 1)
-                        hits = _hits(Z, crit * (1.0 + kappa))
-                        est = type1_risk_iii(p, v, alpha, M, make_rng(seed), kappa=kappa)
-                        assert est.risk == np.count_nonzero(hits) / M
-                        # Only a draw within rounding of crit may be decided
-                        # differently; none is expected.
-                        differ = hits != (values > crit)
-                        assert np.all(np.abs(values[differ] - crit) <= 1e-10 * crit), (
-                            v, kappa, seed, alpha, values[differ],
-                        )
+            for seed in range(3):
+                d, e2 = asymptotics._tridiagonal_block(p, M, make_rng(seed))
+                d[0] += v
+                if v < 1e300:
+                    l1 = np.linalg.eigvalsh(_dense_tridiagonal(d, e2))[:, -1]
+                    values = (l1 - d[0]) ** 2 + e2[0]
+                else:
+                    # eigvalsh's ℓ₁ is accurate to ε‖T‖ only, and at
+                    # v = 1e300 the square of that error overflows.  There
+                    # ℓ₁ − T₁₁ is of order r²/v, so the value is r².
+                    values = e2[0]
+                for alpha in (0.05, 0.01):
+                    crit = chi2_quantile(1.0 - alpha, p - 1)
+                    hits = _tridiagonal_hits(d, e2, crit)
+                    # M fits in one block, so the estimator draws these.
+                    est = type1_risk_iii(p, v, alpha, M, make_rng(seed))
+                    assert est.risk == np.count_nonzero(hits) / M
+                    # Only a draw within rounding of crit may be decided
+                    # differently; none is expected.
+                    differ = hits != (values > crit)
+                    assert np.all(np.abs(values[differ] - crit) <= 1e-10 * crit), (
+                        v, seed, alpha, values[differ],
+                    )
 
     def test_known_answers(self):
-        # ‖(Z − ℓ₁I)e₁‖² against c = 4.
-        p, c = 3, 4.0
-        cases = []
-        # r² ≥ c decides alone; at r² = c the value still exceeds c, since
-        # ℓ₁ > Z₁₁ once the first column is off the diagonal.
-        for z21, hit in ((3.0, True), (2.0, True), (1.0, False)):
-            Z = np.zeros((p, p))
-            Z[1, 0] = Z[0, 1] = z21
-            cases.append((Z, hit))
-        # Diagonal: the value is (max diag − Z₁₁)².
-        for diag, hit in (((0.0, 1.0, 3.0), True), ((0.0, 1.0, 1.9), False),
-                          ((5.0, 1.0, 3.0), False), ((-1e300, 0.0, 1e300), True)):
-            cases.append((np.diag(diag), hit))
-        # Rank one, Z = λxxᵀ with ‖x‖ = 1: ℓ₁ = max(λ, 0), and the value is
-        # λ²(1 − x₁²) for λ > 0 and λ²x₁² for λ < 0.
-        x = np.array([math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
-        for lam, hit in ((3.0, True), (2.5, False), (-3.0, True), (-2.5, False)):
-            cases.append((lam * np.outer(x, x), hit))
-        Z = np.array([Z for Z, _ in cases])
-        expected = [hit for _, hit in cases]
-        assert _hits(Z, c).tolist() == expected
-        for i, (Z1, hit) in enumerate(cases):
-            assert _hits(Z1[None], c).tolist() == [hit], i
-
-    @pytest.mark.parametrize("p", [2, 3, 10, 24])
-    def test_structured_matrices(self, p):
-        rng = np.random.default_rng(p)
-        G = rng.standard_normal((p, p))
-        goe = (G + G.T) / SQRT2
-        h = p // 2
-        # Block-diagonal: the first column lies in the top block in one and
-        # in the lower block in the other.
-        upper_top, lower_top = goe.copy(), goe.copy()
-        upper_top[:h, h:] = upper_top[h:, :h] = 0.0
-        lower_top[:h, h:] = lower_top[h:, :h] = 0.0
-        upper_top[:h, :h] += 10.0 * np.eye(h)
-        lower_top[h:, h:] += 10.0 * np.eye(p - h)
-        diagonal = np.diag(rng.standard_normal(p))
-        spike = np.zeros((p, p))
-        spike[0, 0] = 4.0
-        # ‖(Z − ℓ₁I)e₁‖² of each matrix; the all-ones matrix has ℓ₁ = p.
+        # ‖(T − ℓ₁I)e₁‖² against c = 4 at p = 3, one draw per case.
+        c = 4.0
         cases = [
-            (diagonal, (np.diag(diagonal).max() - diagonal[0, 0]) ** 2),
-            (np.ones((p, p)), p * (p - 1.0)),
-            (2.5 * np.eye(p), 0.0),
-            (-3.0 * np.eye(p), 0.0),
-            (np.zeros((p, p)), 0.0),
-            (spike, 0.0),
+            # r² > c decides alone, and r² = c is a tie, which is a hit.
+            # With d₁ = −1e300, ℓ₁ − d₀ ≈ r²/1e300 and the value is r².
+            ((0.0, -1e300, 0.0), (9.0, 0.0), True),
+            ((0.0, -1e300, 0.0), (4.0, 0.0), True),
+            ((0.0, -1e300, 0.0), (math.nextafter(4.0, 0.0), 0.0), False),
+            # With d = 0, ℓ₁ = r and the value is 2r².
+            ((0.0, 0.0, 0.0), (math.nextafter(4.0, 0.0), 0.0), True),
+            ((0.0, 0.0, 0.0), (1.9, 0.0), False),
+            # Diagonal: the value is (max d − d₀)², a tie in the first.
+            ((1.0, 3.0, 0.0), (0.0, 0.0), True),
+            ((1.0, 0.0, 2.9), (0.0, 0.0), False),
+            ((5.0, 1.0, 3.0), (0.0, 0.0), False),
+            ((0.0, 1.0, 3.0), (0.0, 0.0), True),
+            # Entries of ±1e300: the first pivot is −s, not d₀ − t, and a
+            # decided draw's pivots after it stay in range.
+            ((-1e300, 0.0, 1e300), (0.0, 0.0), True),
+            ((1e300, 0.0, -1e300), (0.0, 0.0), False),
+            ((1e300, 0.0, -1e300), (1.0, 1.0), False),
+            ((1e300, 0.0, -1e300), (4.0, 1.0), True),
+            ((-1e300, 0.0, 0.0), (1.0, 1.0), True),
+            ((-1e300, 0.0, -1e300), (4.0, 1.0), True),
+            # The second subdiagonal acts only through ℓ₁: with d = 0 and
+            # e2 = (1, b²), ℓ₁ = √(1 + b²), so the value is 2 + b².
+            ((0.0, 0.0, 0.0), (1.0, 2.5), True),
+            ((0.0, 0.0, 0.0), (1.0, 1.5), False),
         ]
-        cases += [(Z, _qa_from_eigh(Z, 0.0)) for Z in (goe, upper_top, lower_top)]
-        Z, c, expected = [], [], []
-        for Zi, value in cases:
-            # Clear of the value by 1%, or c = 1 where the value is 0.
-            for ci, hit in ((0.99 * value, True), (1.01 * value, False)) if value else ((1.0, False),):
-                Z.append(Zi)
-                c.append(ci)
-                expected.append(hit)
-        got = [_hits(Zi[None], ci)[0] for Zi, ci in zip(Z, c)]
-        assert got == expected
-        # Z → 2ᵏZ and c → 4ᵏc scale every step by a power of two, which is
-        # exact while nothing overflows or falls subnormal.
+        d = np.array([case[0] for case in cases]).T
+        e2 = np.array([case[1] for case in cases]).T
+        expected = [case[2] for case in cases]
+        assert _tridiagonal_hits(d, e2, c).tolist() == expected
+        for i, hit in enumerate(expected):
+            assert _tridiagonal_hits(d[:, i : i + 1], e2[:, i : i + 1], c).tolist() == [hit], i
+
+    def test_two_by_two_closed_form(self):
+        # At p = 2, ℓ₁ − d₀ = (δ + √(δ² + 4r²))/2 with δ = d₁ − d₀.
+        rng = np.random.default_rng(3)
+        d = 3.0 * rng.standard_normal((2, 4000))
+        e2 = rng.chisquare(1.0, (1, 4000))
+        delta = d[1] - d[0]
+        values = ((delta + np.sqrt(delta**2 + 4.0 * e2[0])) / 2.0) ** 2 + e2[0]
+        for c in (1.0, 3.84, 6.63):
+            hits = _tridiagonal_hits(d, e2, c)
+            assert 0 < np.count_nonzero(hits) < hits.size
+            clear = np.abs(values - c) > 1e-12 * c
+            np.testing.assert_array_equal(hits[clear], (values > c)[clear])
+
+    def test_powers_of_two_scale_exactly(self):
+        # d → 2ᵏd, e2 → 4ᵏe2 and c → 4ᵏc scale every pivot by 2ᵏ, which
+        # is exact while nothing overflows or falls subnormal.
+        p = 10
+        d, e2 = asymptotics._tridiagonal_block(p, 3000, make_rng(9))
+        d[0] += 2.0
+        c = chi2_quantile(0.95, p - 1)
+        hits = _tridiagonal_hits(d, e2, c)
+        assert 0 < np.count_nonzero(hits) < hits.size
         for k in (-400, -1, 1, 400):
-            scaled = [
-                _hits(math.ldexp(1.0, k) * Zi[None], math.ldexp(ci, 2 * k))[0]
-                for Zi, ci in zip(Z, c)
-            ]
-            assert scaled == expected, k
+            scaled = _tridiagonal_hits(
+                math.ldexp(1.0, k) * d, math.ldexp(1.0, 2 * k) * e2, math.ldexp(c, 2 * k)
+            )
+            np.testing.assert_array_equal(scaled, hits, err_msg=str(k))
 
     @pytest.mark.parametrize("p", [2, 3, 10, 24])
-    def test_independent_of_batch_size(self, p):
+    def test_independent_of_slicing(self, p):
         m = 3000
-        Z = _full_stack(asymptotics._elliptical_block(p, 0.0, m, make_rng(40 + p)))
-        Z[:, 0, 0] += 2.0
+        d, e2 = asymptotics._tridiagonal_block(p, m, make_rng(40 + p))
+        d[0] += 2.0
         for alpha in (0.5, 0.05, 0.01):
             c = chi2_quantile(1.0 - alpha, p - 1)
-            full = _hits(Z, c)
+            full = _tridiagonal_hits(d, e2, c)
             assert 0 < np.count_nonzero(full) < m, alpha
             for k in (1, 2, 2047, 2049):
-                np.testing.assert_array_equal(_hits(Z[:k], c), full[:k])
-            for i in (2047, 2048, m - 1):
-                np.testing.assert_array_equal(_hits(Z[i : i + 1], c), full[i : i + 1])
+                np.testing.assert_array_equal(_tridiagonal_hits(d[:, :k], e2[:, :k], c), full[:k])
+            for i in (0, 2047, 2048, m - 1):
+                one = _tridiagonal_hits(d[:, i : i + 1], e2[:, i : i + 1], c)
+                np.testing.assert_array_equal(one, full[i : i + 1])
+            np.testing.assert_array_equal(_tridiagonal_hits(d[:, ::2], e2[:, ::2], c), full[::2])
+
+
+class TestRiskLaw:
+    """The tridiagonal model that type1_risk_iii draws has the law of the
+    dense limit matrix that qa_limit_sample reads, at every κ."""
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 30])
+    def test_risk_matches_the_dense_law(self, p):
+        M_dense, M = (20_000, 40_000) if p < 30 else (3_000, 20_000)
+        for v in (0.0, 2.0, 8.0):
+            for kappa in sorted({0.0, 0.5, min_kappa(p)}):
+                seed = 1000 * p + 10 * int(v)
+                values = asymptotics._qa_limit_block(p, v, kappa, M_dense, make_rng(seed))
+                for alpha in (0.05, 0.01):
+                    crit = chi2_quantile(1.0 - alpha, p - 1)
+                    share = np.count_nonzero(values > crit) / M_dense
+                    est = type1_risk_iii(p, v, alpha, M, make_rng(seed + 1), kappa=kappa)
+                    var = share * (1.0 - share) / M_dense + est.se**2
+                    if var == 0.0:
+                        assert est.risk == share, (v, kappa, alpha)
+                        continue
+                    z = (est.risk - share) / math.sqrt(var)
+                    assert abs(z) <= 5.0, (v, kappa, alpha, est.risk, share, z)
+
+    @pytest.mark.parametrize("p", [2, 3, 10, 30])
+    def test_kappa_is_a_rescaled_spike(self, p):
+        # Z_f = √(1+κ)·GOE + (a multiple of I), and the law divides by
+        # 1+κ, so κ acts only as the spike v/√(1+κ), on the same draws.
+        for v in (0.0, 2.0, 8.0):
+            for kappa in (0.5, min_kappa(p), 3.0):
+                for alpha in (0.05, 0.01):
+                    est = type1_risk_iii(p, v, alpha, 3000, make_rng(p), kappa=kappa)
+                    base = type1_risk_iii(p, v / math.sqrt(1.0 + kappa), alpha, 3000, make_rng(p))
+                    assert est == base, (v, kappa, alpha)
 
 
 class TestLimitLawPins:
-    """Exact outputs of the limit-law samplers and risk estimator, recorded
-    before their Z_f construction moved to the batch-last layout.  The
+    """Exact outputs of the limit-law samplers and risk estimator; the
+    samplers' were recorded before their Z_f construction moved to the
+    batch-last layout.  The
     identity tests above compare paths that share one construction, so
     only a pinned value sees a change in its bits (for example Σᵢ Zᵢᵢ of
     the κ shift summed in another order)."""
 
     # (p, κ, v) -> hits of type1_risk_iii(p, v, α, 300, make_rng(500 + p),
-    # kappa=κ) at α = 0.05 and 0.01; κ "min" is min_kappa(p).
+    # kappa=κ) at α = 0.05 and 0.01; κ "min" is min_kappa(p).  Recorded
+    # again when the estimator moved to the tridiagonal model, whose
+    # random stream differs from the dense Z_f's.
     HITS = {
-        (2, '0', 0.0): (97, 55),
-        (2, '0', 2.0): (44, 16),
-        (2, '0', 8.0): (16, 3),
-        (2, '0.5', 0.0): (97, 55),
-        (2, '0.5', 2.0): (50, 23),
-        (2, '0.5', 8.0): (18, 4),
-        (2, 'min', 0.0): (97, 55),
-        (2, 'min', 2.0): (34, 12),
-        (2, 'min', 8.0): (16, 3),
-        (3, '0', 0.0): (148, 102),
-        (3, '0', 2.0): (63, 33),
-        (3, '0', 8.0): (17, 5),
-        (3, '0.5', 0.0): (148, 102),
-        (3, '0.5', 2.0): (77, 41),
-        (3, '0.5', 8.0): (18, 6),
-        (3, 'min', 0.0): (148, 102),
-        (3, 'min', 2.0): (52, 22),
-        (3, 'min', 8.0): (16, 4),
-        (10, '0', 0.0): (275, 259),
-        (10, '0', 2.0): (211, 152),
-        (10, '0', 8.0): (29, 5),
-        (10, '0.5', 0.0): (275, 259),
-        (10, '0.5', 2.0): (223, 175),
-        (10, '0.5', 8.0): (50, 11),
-        (10, 'min', 0.0): (275, 259),
-        (10, 'min', 2.0): (198, 141),
-        (10, 'min', 8.0): (27, 5),
+        (2, '0', 0.0): (97, 61),
+        (2, '0', 2.0): (40, 15),
+        (2, '0', 8.0): (15, 3),
+        (2, '0.5', 0.0): (97, 61),
+        (2, '0.5', 2.0): (45, 19),
+        (2, '0.5', 8.0): (15, 3),
+        (2, 'min', 0.0): (97, 61),
+        (2, 'min', 2.0): (29, 10),
+        (2, 'min', 8.0): (14, 3),
+        (3, '0', 0.0): (145, 97),
+        (3, '0', 2.0): (65, 28),
+        (3, '0', 8.0): (19, 8),
+        (3, '0.5', 0.0): (145, 97),
+        (3, '0.5', 2.0): (72, 42),
+        (3, '0.5', 8.0): (19, 8),
+        (3, 'min', 0.0): (145, 97),
+        (3, 'min', 2.0): (55, 20),
+        (3, 'min', 8.0): (18, 6),
+        (10, '0', 0.0): (277, 258),
+        (10, '0', 2.0): (207, 154),
+        (10, '0', 8.0): (40, 14),
+        (10, '0.5', 0.0): (277, 258),
+        (10, '0.5', 2.0): (222, 179),
+        (10, '0.5', 8.0): (50, 22),
+        (10, 'min', 0.0): (277, 258),
+        (10, 'min', 2.0): (196, 145),
+        (10, 'min', 8.0): (40, 12),
         (24, '0', 0.0): (300, 300),
-        (24, '0', 2.0): (297, 293),
-        (24, '0', 8.0): (103, 53),
+        (24, '0', 2.0): (292, 285),
+        (24, '0', 8.0): (89, 46),
         (24, '0.5', 0.0): (300, 300),
-        (24, '0.5', 2.0): (299, 296),
-        (24, '0.5', 8.0): (165, 97),
+        (24, '0.5', 2.0): (296, 288),
+        (24, '0.5', 8.0): (149, 82),
         (24, 'min', 0.0): (300, 300),
-        (24, 'min', 2.0): (297, 291),
-        (24, 'min', 8.0): (98, 46),
+        (24, 'min', 2.0): (290, 284),
+        (24, 'min', 8.0): (84, 41),
         (30, '0', 0.0): (300, 300),
-        (30, '0', 2.0): (299, 296),
-        (30, '0', 8.0): (152, 95),
+        (30, '0', 2.0): (299, 298),
+        (30, '0', 8.0): (153, 94),
         (30, '0.5', 0.0): (300, 300),
-        (30, '0.5', 2.0): (299, 297),
-        (30, '0.5', 8.0): (213, 149),
+        (30, '0.5', 2.0): (300, 298),
+        (30, '0.5', 8.0): (201, 152),
         (30, 'min', 0.0): (300, 300),
-        (30, 'min', 2.0): (299, 296),
-        (30, 'min', 8.0): (142, 85),
+        (30, 'min', 2.0): (299, 298),
+        (30, 'min', 8.0): (146, 84),
     }
 
     # (p, κ) -> sha256 prefixes of three successive sample_z_elliptical
@@ -380,12 +431,18 @@ class TestRiskEstimators:
 
     @pytest.mark.parametrize("p", [20, 30])
     def test_risk_does_not_depend_on_the_blocks(self, p):
-        # At p = 20 and 30 the estimator draws 512 and 341 matrices per
-        # block; the hits equal those of the same draws taken as one block.
-        M, crit = 700, chi2_quantile(0.95, p - 1)
-        est = type1_risk_iii(p, 1.0, 0.05, M, make_rng(113), kappa=0.5)
-        draws = asymptotics._qa_limit_block(p, 1.0, 0.5, M, make_rng(113))
-        assert est.risk == np.count_nonzero(draws > crit) / M
+        # M spans three blocks, the last one partial; the hits equal the
+        # values above crit of the same blocks' dense tridiagonal matrices.
+        B, v, kappa = asymptotics._BLOCK, 1.0, 0.5
+        M, crit = 2 * B + 700, chi2_quantile(0.95, p - 1)
+        est = type1_risk_iii(p, v, 0.05, M, make_rng(113), kappa=kappa)
+        rng, above = make_rng(113), 0
+        for done in range(0, M, B):
+            d, e2 = asymptotics._tridiagonal_block(p, min(B, M - done), rng)
+            d[0] += v / math.sqrt(1.0 + kappa)
+            l1 = np.linalg.eigvalsh(_dense_tridiagonal(d, e2))[:, -1]
+            above += np.count_nonzero((l1 - d[0]) ** 2 + e2[0] > crit)
+        assert est.risk == above / M
 
     def test_memory_is_bounded_at_large_p(self):
         # With M matrices in one stack, G and Z alone would take 2 × 14.7 MB.

@@ -48,8 +48,8 @@ WORKLOAD_DIGESTS = {
     ("pseudo-t6-n20000", 907311): "c442ee46be8cd8535c14fcdccc57368ab01bfc415f8248bddb8b16959a1e7a73",
     ("highdim-n200", 20260815): "528c15a8fb91e22f3045fe56083414e8387ebf7560dc49b4707511b2f0b75930",
     ("highdim-n200", 907311): "6dd588a1596b2670a66911fb06d139dbabab8b6f1c7c85a895aedadfc8a51290",
-    ("regime3-p10", 20260815): "35198d02ba2fbe7d27e8f1278135565765f97c4c25f10fabb54e13de06fff672",
-    ("regime3-p10", 907311): "57d65f5336c0fa2010a778e30b2f62fd4b52b948666bf02f9a9bb4c1cbccbbda",
+    ("regime3-p10", 20260815): "0fa0fb33381319ccfa662c64adcae6552fda7e96a53dad594d6916835253ea53",
+    ("regime3-p10", 907311): "1c558a32a2bc7ab4086750c6b8cc50222505036d1c7e1bdc71ac6fa5caba54f8",
 }
 
 SMALL_GRIDS = {

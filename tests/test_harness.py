@@ -665,8 +665,8 @@ power,10,0.7653668647,oracle_asymptotic,0.2,0.2485727597,0,0,99
         """experiment,v,test,alpha,freq,se,M,seed
 regime3,0,anderson,0.05,0.4,0.1549193338,10,5
 regime3,4,anderson,0.05,0.1,0.09486832981,10,5
-regime3,0,anderson_limit,0.05,0.34,0.03349626845,200,5
-regime3,4,anderson_limit,0.05,0.1,0.02121320344,200,5
+regime3,0,anderson_limit,0.05,0.265,0.03120697038,200,5
+regime3,4,anderson_limit,0.05,0.07,0.01804161855,200,5
 """,
     ),
     "highdim": (
