@@ -84,6 +84,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
+def _diagonal_shift(p: int, kappa: float) -> float:
+    """c = √(1 + pκ/(2(1+κ))) − 1 of Z_f's shift c·mean(diag Y)·I."""
+    # The radicand is ≥ 0 exactly when κ ≥ −2/(p+2); the clamp absorbs
+    # the rounding slack that _check_kappa allows below the floor.
+    return math.sqrt(max(1.0 + p * kappa / (2.0 * (1.0 + kappa)), 0.0)) - 1.0
+
+
 def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
     """m independent draws of Z_f as a C-ordered (p, p, m) array, the
     batch last: draw b is ``Z[:, :, b]``, and only its lower triangle
@@ -108,9 +115,7 @@ def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
     for i in range(p):
         row = np.add(G[i, : i + 1], G[: i + 1, i], out=Z[i, : i + 1])
         row /= scale
-    # The radicand is ≥ 0 exactly when κ ≥ −2/(p+2); the clamp absorbs
-    # the rounding slack that _check_kappa allows below the floor.
-    c = math.sqrt(max(1.0 + p * kappa / (2.0 * (1.0 + kappa)), 0.0)) - 1.0
+    c = _diagonal_shift(p, kappa)
     # c = 0 at κ = 0, where the shift would add zeros.
     if c != 0.0:
         diag = Z.reshape(p * p, m)[:: p + 1]
@@ -136,9 +141,17 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
     exactly as one draw of :func:`qa_limit_sample`'s blocks does.  Raises
     ValueError when κ is non-finite or below −2/(p+2).
     """
-    Z = _elliptical_block(p, kappa, 1, rng).reshape(p, p)
-    upper = np.triu_indices(p, 1)
-    Z[upper] = Z.T[upper]
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    _check_kappa(p, kappa)
+    G = rng.standard_normal((p, p))
+    Z = G + G.T
+    Z /= math.sqrt(2.0 / (1.0 + kappa))
+    c = _diagonal_shift(p, kappa)
+    if c != 0.0:
+        diag = Z.reshape(p * p)[:: p + 1]
+        # Summed over a contiguous copy, as the block sums each draw's.
+        diag += (c / p) * diag.copy().sum()
     return Z
 
 

@@ -1,13 +1,19 @@
-"""CSV dataset ingestion and the shipped covariance fixture."""
+"""CSV dataset ingestion and the shipped covariance fixture.
+
+The loaders import ``csv``, ``pathlib`` and ``importlib.resources``
+themselves, so that ``import spikedcov`` does not load them.
+"""
 
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = ["Dataset", "ParseError", "load_csv", "banknote_fixture_path"]
 
@@ -43,8 +49,9 @@ def load_csv(path) -> Dataset:
     Ragged rows, non-numeric cells (e.g. "NA"), and empty files raise
     :class:`ParseError` naming the offending line (and column).
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
+    import csv
+
+    with open(os.fspath(path), newline="") as fh:
         reader = csv.reader(fh)
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
@@ -81,4 +88,7 @@ def load_csv(path) -> Dataset:
 
 def banknote_fixture_path() -> Path:
     """Path of the shipped 4×4 banknote covariance fixture."""
+    from importlib import resources
+    from pathlib import Path
+
     return Path(resources.files("spikedcov") / "fixtures" / "banknote_cov.csv")

@@ -18,10 +18,8 @@ the text report.  A cell with no valid replicate reports ``freq`` and
 from __future__ import annotations
 
 import ctypes
-import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,8 +45,6 @@ __all__ = [
     "CellRow",
     "run_experiment",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Experiment kind -> the config field that holds its grid.
 GRIDS = {"null": "ells", "power": "ks", "regime3": "vgrid", "highdim": "cgrid"}
@@ -516,11 +512,19 @@ def _run_cells(config: ExperimentConfig):
         # cap restarts the helpers in the worker too, so the worker stops
         # them again.  Each worker also keeps its freed heap; the grid
         # process's allocator belongs to the caller and is left alone.
+        # The pool stack (multiprocessing, socket, subprocess) and logging
+        # load here, so that one-process grids never import them.
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker) as pool:
                 chunks = list(pool.map(_chunk_statistics, *zip(*jobs)))
         except OSError as exc:  # stripped-down environments
-            logger.warning("process pool unavailable (%s); running inline", exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "process pool unavailable (%s); running inline", exc
+            )
             chunks, capped = _inline()
     # Both maps return chunks in job order, so a cell's chunks are one run.
     k = len(starts)

@@ -85,6 +85,12 @@ class TestOutcome:
 def summarize(X: np.ndarray) -> SampleSummary:
     """Mean, covariance (divisor n) and eigensystem of an n×p data matrix.
 
+    The mean adds the rows in order.  For a C-ordered X of p ≥ 2 columns,
+    which every grid draw and :func:`~spikedcov.data.load_csv` give, so
+    does ``X.mean(axis=0)``, bit for bit.  numpy sums a single column, or
+    the columns of an F-ordered X, pairwise, so there the two differ in
+    the last bits.
+
     Raises
     ------
     ValueError
@@ -97,7 +103,7 @@ def summarize(X: np.ndarray) -> SampleSummary:
     if X.ndim != 2:
         raise ValueError("X must be a 2-d data matrix")
     n, p = X.shape
-    colsum = X.sum(axis=0)
+    colsum = np.einsum("ij->j", X)
     # A non-finite entry makes its column sum non-finite, so only then is
     # X itself scanned; a finite X there has a sum that overflowed.
     if not np.isfinite(colsum).all():
@@ -106,7 +112,7 @@ def summarize(X: np.ndarray) -> SampleSummary:
         raise ValueError("column sums of the data overflow float64")
     if n < p + 1:
         raise ValueError(f"need n >= p+1 observations, got n={n}, p={p}")
-    mean = colsum / n  # np.mean's own arithmetic, without its overhead
+    mean = colsum / n
     Xc = X - mean
     S = (Xc.T @ Xc) / n
     S = (S + S.T) / 2.0  # clear rounding asymmetry before validation

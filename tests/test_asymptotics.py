@@ -455,9 +455,8 @@ class TestRiskEstimators:
         assert peak < 8 * 2**20, peak
 
     def test_memory_at_p10(self):
-        # One block's normals and Z at p = 10 take 2 × 0.8 MB; a
-        # batch-first Z, its strided copy and a fresh allocation per block
-        # took the peak to 4.9 MB.
+        # One block's diagonal and squared subdiagonal at p = 10 take
+        # 0.33 MB, and the estimator peaks at about 0.6 MB.
         tracemalloc.start()
         try:
             type1_risk_iii(10, 2.0, 0.05, 10_000, make_rng(115))

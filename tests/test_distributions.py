@@ -257,7 +257,7 @@ class TestEllipticalSampler:
 
     @pytest.mark.parametrize("kappa", [0.0, 0.4, -0.25, min_kappa(3)])
     def test_block_equals_successive_draws(self, kappa):
-        # the risk estimators' m-draw block uses the generator exactly as m
+        # qa_limit_sample's m-draw block uses the generator exactly as m
         # successive scalar draws do; the block holds the lower triangles,
         # batch last, and a scalar draw is symmetric
         block = asymptotics._elliptical_block(3, kappa, 40, make_rng(12))

@@ -82,6 +82,27 @@ def test_loads_no_scipy(case):
     assert json.loads(out.splitlines()[-1]) == []
 
 
+# Only a pooled grid runs the process pool, so only it loads the pool's
+# modules.
+POOL_MODULES = ["concurrent.futures", "multiprocessing"]
+PRINT_POOL_MODULES = (
+    "import json, sys\n"
+    f"print(json.dumps([m for m in {POOL_MODULES!r} if m in sys.modules]))\n"
+)
+
+
+@pytest.mark.parametrize("case", ["import", "null grid", "highdim grid", "regime3 grid", "cli power"])
+def test_loads_no_process_pool(case):
+    out = run_fresh(SCIPY_FREE[case] + PRINT_POOL_MODULES)
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+def test_pooled_grid_loads_the_process_pool_when_it_runs():
+    code = "import spikedcov\n" + PRINT_POOL_MODULES + SCIPY_FREE["pooled null grid"]
+    out = run_fresh(code + PRINT_POOL_MODULES).splitlines()
+    assert [json.loads(line) for line in out[-2:]] == [[], POOL_MODULES]
+
+
 # Runs a small Q_H grid with ``hpv_statistic`` wrapped so that every
 # replicate appends the thread count of each OpenBLAS then loaded, and the
 # number of OS threads of its process, to the file argv[2].  Pool workers

@@ -1,6 +1,7 @@
 """Monte Carlo harness: configuration, determinism, output shape."""
 
 import builtins
+import concurrent.futures
 import ctypes
 import json
 import math
@@ -284,7 +285,8 @@ class TestPoolWorkers:
         def no_pool(*args, **kwargs):
             raise OSError("no semaphores")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        # The harness imports the pool when a pooled grid runs.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         pooled = run_experiment(replace(cfg, workers=2))
         assert "running inline" in caplog.text
         assert pooled.to_csv() == one.to_csv()

@@ -6,6 +6,7 @@ numerical guarantees the statistics are supposed to satisfy.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,12 +71,14 @@ class TestSummarize:
         "bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)], ids=str
     )
     def test_non_finite(self, bad):
-        # A column holding +inf and -inf sums to nan, which numpy's sum
-        # reports as an invalid value; one holding either sums to ±inf.
+        # A column holding +inf and -inf sums to nan, and one holding
+        # either sums to ±inf; the ValueError alone reports it, with no
+        # numpy warning.
         X = make_rng(4).standard_normal((6, 2))
         X[1 : 1 + len(bad), 1] = bad
         message = "^data matrix contains non-finite entries$"
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 summarize(X)
             # Checked before the row count.
