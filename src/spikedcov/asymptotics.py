@@ -11,12 +11,12 @@ with a rank-one shift v.  This module draws Z_f (Gaussian and elliptical,
 one construction for every κ), samples that law, estimates the resulting
 type-I risks, evaluates the joint eigenvalue density, and provides the
 noncentrality parameters and power curves of the local analysis.  The
-samplers draw Z_f in blocks with the batch on the last axis, as the
-lower triangles of a (p, p, m) array, the layout ``eigvalsh`` reads.  The
-risk estimator draws no Z_f: the law is that of a tridiagonal matrix
-with independent entries (the β = 1 model of Dumitriu and Edelman), and
-one O(p) Sturm recurrence per draw decides whether its value exceeds the
-critical value, without computing it.
+law's sampler and its risk estimator draw no Z_f: the law is that of a
+tridiagonal matrix with independent entries (the β = 1 model of
+Dumitriu and Edelman), drawn in blocks with the batch on the last axis.
+The sampler takes ℓ₁ from ``eigvalsh`` on each dense tridiagonal matrix;
+the estimator decides whether a draw's value exceeds the critical value
+by one O(p) Sturm recurrence, without computing it.
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ __all__ = [
 
 REGIMES = ("i", "ii", "iii", "iv")
 
-# Draws per block of the risk estimator, at every p.  A block's diagonal
-# and squared subdiagonal are (p, _BLOCK) and (p − 1, _BLOCK) arrays, 16p
-# bytes per draw in all (0.33 MB at p = 10, 1.6 MB at p = 50), and the
-# recurrence's passes are rows of _BLOCK values.  The cost per draw is
-# flat from 1024 to 16384 draws (BENCH_limit_law_tridiagonal.json).  The
-# block fixes the order in which the generator's values reach the draws,
-# so it depends on nothing a caller passes, and M only cuts the last one.
+# Draws per block of the limit-law sampler and the risk estimator, at
+# every p.  A block's diagonal and squared subdiagonal are (p, _BLOCK) and
+# (p − 1, _BLOCK) arrays, 16p bytes per draw in all (0.33 MB at p = 10,
+# 1.6 MB at p = 50), and the recurrence's passes are rows of _BLOCK
+# values; the sampler's dense matrices take 8p² bytes per draw (14.7 MB
+# at p = 30).  The risk estimator's cost per draw is flat from 1024 to
+# 16384 draws (BENCH_limit_law_tridiagonal.json).  The block fixes the
+# order in which the generator's values reach the draws, so it depends
+# on nothing a caller passes, and M only cuts the last one.
 _BLOCK = 2048
 
 
@@ -91,41 +93,6 @@ def _diagonal_shift(p: int, kappa: float) -> float:
     return math.sqrt(max(1.0 + p * kappa / (2.0 * (1.0 + kappa)), 0.0)) - 1.0
 
 
-def _elliptical_block(p: int, kappa: float, m: int, rng: Rng) -> np.ndarray:
-    """m independent draws of Z_f as a C-ordered (p, p, m) array, the
-    batch last: draw b is ``Z[:, :, b]``, and only its lower triangle
-    (i ≥ j) is written.  See :func:`sample_z_elliptical`.
-
-    The normals G fill an (m, p, p) array in the generator's order, and
-    Z_ij = (G_ij + G_ji)/√(2/(1+κ)) is written row by row from G's
-    batch-last view; no full or batch-first Z is formed.
-
-    With Y = √(1+κ)·(G + Gᵀ)/√2, Var Y_ii = 2(1+κ) and the diagonal shift
-    c·mean(diag Y) adds κ to every Cov(Z_ii, Z_jj), since
-    (2(1+κ)/p)((1+c)² − 1) = κ; Var Z_ij = 1+κ is left as it is.
-    """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    _check_kappa(p, kappa)
-    G = rng.standard_normal((m, p, p)).transpose(1, 2, 0)
-    Z = np.empty((p, p, m))
-    # At κ = 0 this divides by √2 itself, as the plain GOE does, so the
-    # Gaussian stream keeps its bits.
-    scale = math.sqrt(2.0 / (1.0 + kappa))
-    for i in range(p):
-        row = np.add(G[i, : i + 1], G[: i + 1, i], out=Z[i, : i + 1])
-        row /= scale
-    c = _diagonal_shift(p, kappa)
-    # c = 0 at κ = 0, where the shift would add zeros.
-    if c != 0.0:
-        diag = Z.reshape(p * p, m)[:: p + 1]
-        # Σᵢ Zᵢᵢ summed along a row of the batch-first (m, p) copy: numpy
-        # sums a row pairwise and a column in order, which differ in the
-        # last bits from p = 8 on.
-        diag += (c / p) * diag.T.copy().sum(axis=1)
-    return Z
-
-
 def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
     """Elliptical limit matrix Z_f, symmetric p×p.
 
@@ -137,9 +104,8 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
         Z_f = Y + c·mean(diag Y)·I,   c = √(1 + pκ/(2(1+κ))) − 1.
 
     At κ = 0 the scale is 1 and c = 0, so Z_f is the Gaussian orthogonal
-    ensemble (G + Gᵀ)/√2 bit for bit.  The draw uses the generator
-    exactly as one draw of :func:`qa_limit_sample`'s blocks does.  Raises
-    ValueError when κ is non-finite or below −2/(p+2).
+    ensemble (G + Gᵀ)/√2 bit for bit.  Raises ValueError when κ is
+    non-finite or below −2/(p+2).
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -150,8 +116,7 @@ def sample_z_elliptical(p: int, kappa: float, rng: Rng) -> np.ndarray:
     c = _diagonal_shift(p, kappa)
     if c != 0.0:
         diag = Z.reshape(p * p)[:: p + 1]
-        # Summed over a contiguous copy, as the block sums each draw's.
-        diag += (c / p) * diag.copy().sum()
+        diag += (c / p) * diag.sum()
     return Z
 
 
@@ -161,30 +126,56 @@ def qa_limit_sample(p: int, v: float, kappa: float = 0.0, *, rng: Rng) -> float:
     With Z = Z_f + diag(v, 0, ..., 0), returns Σ_{j≥2} (ℓ₁−ℓ_j)² w_{j1}²,
     divided by (1+κ) so that the elliptical version matches the limit of
     the kurtosis-corrected statistic.  v = 0 gives the strict-contiguity
-    (vanishing spike) law.  The sum equals ‖(Z − ℓ₁I)e₁‖², so only the
-    top eigenvalue ℓ₁ is computed, by ``np.linalg.eigvalsh``.
+    (vanishing spike) law.  The draw is a block of one of
+    :func:`_qa_limit_block`, which raises ValueError when p < 2, when v
+    is negative or non-finite, or when κ is non-finite or below
+    −2/(p+2).
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    _check_v(v)
     return float(_qa_limit_block(p, v, kappa, 1, rng)[0])
 
 
 def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndarray:
-    """m draws of :func:`qa_limit_sample`, equal to m successive calls.
+    """m draws of :func:`qa_limit_sample`, on the tridiagonal model that
+    :func:`type1_risk_iii` draws, in blocks of _BLOCK.
 
     Expanding e₁ in the eigenvectors w_j of Z gives
-    (Z − ℓ₁I)e₁ = Σ_j (ℓ_j − ℓ₁) w_{j1} w_j, so ‖(Z − ℓ₁I)e₁‖² is the
-    limit-law sum Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² without the eigenvectors.
-    ``eigvalsh`` reads only the lower triangle, the one the block holds.
+    (Z − ℓ₁I)e₁ = Σ_j (ℓ_j − ℓ₁) w_{j1} w_j, so the sum is ‖(Z − ℓ₁I)e₁‖²,
+    and on T that is s² + r² with s = ℓ₁ − T₁₁ and r² = T₂₁².  κ enters as
+    the spike v/√(1+κ), as in the risk estimator.  ℓ₁ comes from
+    ``eigvalsh`` on the dense T (it reads the lower triangle, which holds
+    the subdiagonal), accurate to about ε‖T‖ only, so s is clipped to
+    [0, ŝ]: with h at most half the top eigenvalue of T₂₂ − T₁₁I
+    (Gershgorin), T − T₁₁I ⪯ [[0, r e₁ᵀ], [r e₁, 2h·I]], so
+    s ≤ ŝ = h + √(h² + r²), exact at p = 2.  Where h < 0 the sum cancels,
+    and ŝ is formed as r²/(√(h² + r²) − h); at large v it is of order r²/v,
+    and the value is r².
     """
-    Z = _elliptical_block(p, kappa, m, rng)
-    Z[0, 0] += v
-    # Column 0 as rows of the batch-first (m, p) array, summed along them
-    # as every draw's own vector.
-    col = Z[:, 0].T.copy()
-    col[:, 0] -= np.linalg.eigvalsh(Z.transpose(2, 0, 1))[:, -1]
-    return (col * col).sum(axis=1) / (1.0 + kappa)
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    _check_v(v)
+    _check_kappa(p, kappa)
+    v = v / math.sqrt(1.0 + kappa)
+    out = np.empty(m)
+    for done in range(0, m, _BLOCK):
+        k = min(_BLOCK, m - done)
+        d, e2 = _tridiagonal_block(p, k, rng)
+        d[0] += v
+        e = np.sqrt(e2)
+        T = np.zeros((k, p * p))
+        T[:, :: p + 1] = d.T
+        T[:, p :: p + 1] = e.T
+        s = np.linalg.eigvalsh(T.reshape(k, p, p))[:, -1] - d[0]
+        # Gershgorin's bound on T₂₂'s rows, each its diagonal plus its
+        # off-diagonal entries within T₂₂.
+        rows = d[1:].copy()
+        rows[:-1] += e[1:]
+        rows[1:] += e[1:]
+        h = 0.5 * (rows.max(axis=0) - d[0])
+        s_max = np.hypot(h, e[0]) + np.abs(h)
+        np.divide(e2[0], s_max, out=s_max, where=h < 0.0)
+        s = np.minimum(np.maximum(s, 0.0), s_max)
+        out[done : done + k] = s * s + e2[0]
+    return out
 
 
 def _tridiagonal_block(p: int, m: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:

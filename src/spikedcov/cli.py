@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import typing
-from pathlib import Path
 
 import click
 import numpy as np
@@ -113,12 +112,12 @@ def _print_outcome_table(rows: list[tuple[str, TestOutcome]]):
 
 
 @main.command("test")
-@click.argument("data", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.argument("data", type=click.Path(exists=True, dir_okay=False))
 @click.option("--theta0", required=True, help="Hypothesized direction, comma-separated floats.")
 @click.option("--j", default=1, show_default=True, help="Eigenvector index under test (1-based).")
 @click.option("--alpha", default=0.05, show_default=True, help="Test level.")
 @click.option("--pseudo", is_flag=True, help="Also report kurtosis-corrected statistics.")
-def cmd_test(data: Path, theta0: str, j: int, alpha: float, pseudo: bool):
+def cmd_test(data: str, theta0: str, j: int, alpha: float, pseudo: bool):
     """Run the Anderson and Gram-Schmidt tests of H0: θ_j = theta0 on DATA."""
     try:
         ds = load_csv(data)
@@ -184,7 +183,7 @@ def _parse_config_value(key: str, raw: str):
         raise click.ClickException(f"invalid value {raw!r} for config key {key!r}")
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path) -> dict:
     out = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -203,16 +202,18 @@ def _read_config_file(path: Path) -> dict:
     required=True,
     type=click.Choice(EXPERIMENTS),
 )
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE", help="Override a config key.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
+@click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--seed", default=ExperimentConfig.seed, show_default=True, type=int)
 @click.option("--workers", default=ExperimentConfig.workers, show_default=True, type=int)
-def cmd_simulate(experiment, config_path, overrides, out: Path, seed: int, workers: int):
+def cmd_simulate(experiment, config_path, overrides, out: str, seed: int, workers: int):
     """Run one experiment grid; write <out>.csv and a <out>.txt config echo."""
+    from pathlib import Path  # only the command that writes files loads it
+
     settings = {}
     if config_path is not None:
-        settings.update(_read_config_file(config_path))
+        settings.update(_read_config_file(Path(config_path)))
     for item in overrides:
         if "=" not in item:
             raise click.ClickException(f"--set expects KEY=VALUE, got {item!r}")
@@ -225,6 +226,7 @@ def cmd_simulate(experiment, config_path, overrides, out: Path, seed: int, worke
         result = run_experiment(config)
     except (ValueError, DegeneracyError) as exc:
         raise click.ClickException(str(exc))
+    out = Path(out)
     base = out.with_suffix("") if out.suffix == ".csv" else out
     csv_path = base.with_suffix(".csv")
     txt_path = base.with_suffix(".txt")
@@ -303,7 +305,7 @@ BANKNOTE_THETA2 = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
 @click.option(
     "--data",
     "data_path",
-    type=click.Path(exists=True, dir_okay=False, path_type=Path),
+    type=click.Path(exists=True, dir_okay=False),
     help="Optional raw 85×4 measurement CSV; default uses the covariance fixture.",
 )
 @click.option("--alpha", default=0.05, show_default=True, type=float)

@@ -117,7 +117,7 @@ def test_criterion_03_limit_law_risks():
     est_a = type1_risk_iii(2, 0.0, 0.05, 100_000, make_rng(SEED))
     est_b = type1_risk_iii(2, 0.0, 0.001, 1_000_000, make_rng(SEED + 1))
     est_c = type1_risk_iii(10, 0.0, 0.05, 100_000, make_rng(SEED + 2))
-    # One block draws the same values as successive qa_limit_sample calls.
+    # qa_limit_sample's law, drawn in blocks of the tridiagonal model.
     draws = _qa_limit_block(2, 0.0, 0.0, 100_000, make_rng(SEED + 3))
     ks_stat, ks_p = scipy_stats.kstest(draws, lambda x: scipy_stats.chi2.cdf(x / 4.0, 1))
     ok_a = abs(est_a.risk - 0.327) <= 0.01
@@ -140,9 +140,8 @@ def test_criterion_04_p3_limit_mean():
     rng = make_rng(SEED + 4)
     total = 0.0
     M = 400_000
-    # Blocks of any size draw the same values as successive
-    # qa_limit_sample calls; adding them one at a time, in order, keeps
-    # the mean bit for bit.
+    # qa_limit_sample's law, drawn in blocks of the tridiagonal model and
+    # summed one value at a time, in order.
     for _ in range(M // 20_000):
         for draw in _qa_limit_block(3, 0.0, 0.0, 20_000, rng).tolist():
             total += draw

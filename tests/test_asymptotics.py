@@ -10,6 +10,7 @@ Distributional oracles used here:
 """
 
 import copy
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -35,6 +36,8 @@ from spikedcov.distributions import chi2_quantile, make_rng, min_kappa
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
 from spikedcov.statistics import q_delta, summarize
 
+from model_oracles import dense_limit_law
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -44,22 +47,32 @@ def unit(p, i=0):
     return e
 
 
-def _qa_from_spectrum(lam_desc: np.ndarray, first_components: np.ndarray) -> float:
-    """Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² from the full eigendecomposition."""
-    l1 = lam_desc[0]
-    return float(np.sum((l1 - lam_desc[1:]) ** 2 * first_components[1:] ** 2))
+def _qa_from_eigh(T: np.ndarray) -> float:
+    """Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² from the full eigendecomposition of the
+    symmetric matrix whose lower triangle T holds."""
+    lam, V = np.linalg.eigh(T)
+    return float(np.sum((lam[-1] - lam[:-1]) ** 2 * V[0, :-1] ** 2))
 
 
-def _qa_from_eigh(Z: np.ndarray, kappa: float) -> float:
-    lam, V = np.linalg.eigh(Z)
-    return _qa_from_spectrum(lam[::-1], V[0, ::-1]) / (1.0 + kappa)
+def _limit_law_blocks(p, v, kappa, m, rng):
+    """The (p, m) diagonal, v/√(1+κ) added to row 0, and (p − 1, m)
+    squared subdiagonal of the tridiagonal matrices that
+    asymptotics._qa_limit_block(p, v, kappa, m, rng) draws, block by block."""
+    blocks = []
+    for done in range(0, m, asymptotics._BLOCK):
+        d, e2 = asymptotics._tridiagonal_block(p, min(asymptotics._BLOCK, m - done), rng)
+        d[0] += v / math.sqrt(1.0 + kappa)
+        blocks.append((d, e2))
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*blocks))
 
 
-def _full_stack(Z: np.ndarray) -> np.ndarray:
-    """The (m, p, p) stack of symmetric matrices whose lower triangles the
-    (p, p, m) array Z holds, as asymptotics._elliptical_block lays it out."""
-    L = np.tril(Z.transpose(2, 0, 1))
-    return L + np.tril(L, -1).swapaxes(1, 2)
+@functools.lru_cache(maxsize=None)
+def _dense_law(p: int, v: float, kappa: float, m: int, seed: int) -> np.ndarray:
+    """dense_limit_law's m draws from make_rng(seed), drawn once for the
+    tests that read them."""
+    values = dense_limit_law(p, v, kappa, m, make_rng(seed))
+    values.flags.writeable = False
+    return values
 
 
 def _dense_tridiagonal(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -83,8 +96,9 @@ def _tridiagonal_hits(d, e2, c: float) -> np.ndarray:
 
 
 class TestLimitLawIdentity:
-    """The samplers use Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² = ‖(Z − ℓ₁I)e₁‖²,
-    which needs only the top eigenvalue; the eigh form is the oracle."""
+    """The sampler's value on the tridiagonal model T, (ℓ₁ − T₁₁)² + r², is
+    Σ_{j≥2} (ℓ₁ − ℓ_j)² w_{j1}² = ‖(T − ℓ₁I)e₁‖²; the eigh form on the
+    dense T of the same block is the oracle."""
 
     CASES = [
         (p, v, kappa) for p in (2, 3, 10) for v in (0.0, 2.0, 8.0) for kappa in (0.0, 0.5, -0.1)
@@ -94,24 +108,55 @@ class TestLimitLawIdentity:
         for p, v, kappa in self.CASES:
             for seed in range(5):
                 got = qa_limit_sample(p, v, kappa, rng=make_rng(seed))
-                Z = sample_z_elliptical(p, kappa, make_rng(seed))
-                Z[0, 0] += v
-                assert got == pytest.approx(_qa_from_eigh(Z, kappa), rel=1e-12)
+                d, e2 = _limit_law_blocks(p, v, kappa, 1, make_rng(seed))
+                (T,) = _dense_tridiagonal(d, e2)
+                assert got == pytest.approx(_qa_from_eigh(T), rel=1e-12)
 
     def test_block_matches_eigh_form(self):
-        for p, v, kappa in self.CASES:
-            got = asymptotics._qa_limit_block(p, v, kappa, 200, make_rng(7))
-            Z = _full_stack(asymptotics._elliptical_block(p, kappa, 200, make_rng(7)))
-            Z[:, 0, 0] += v
-            ref = np.array([_qa_from_eigh(z, kappa) for z in Z])
+        # 200 draws fit in one block; 2·_BLOCK + 7 span three, the last one
+        # partial.
+        for p, v, kappa, m in [*((*case, 200) for case in self.CASES), (3, 2.0, 0.5, 4103)]:
+            got = asymptotics._qa_limit_block(p, v, kappa, m, make_rng(7))
+            d, e2 = _limit_law_blocks(p, v, kappa, m, make_rng(7))
+            ref = [_qa_from_eigh(T) for T in _dense_tridiagonal(d, e2)]
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
-    def test_block_equals_successive_draws(self):
-        for p, kappa in ((3, 0.0), (10, 0.0), (10, 0.5), (25, 0.0)):
-            block = asymptotics._qa_limit_block(p, 2.0, kappa, 50, make_rng(41))
-            rng = make_rng(41)
-            one_by_one = [qa_limit_sample(p, 2.0, kappa, rng=rng) for _ in range(50)]
-            assert block.tolist() == one_by_one, (p, kappa)
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_large_v_gives_r_squared(self, p):
+        # At v ≥ 1e16, ℓ₁ − T₁₁ is of order r²/v and the value is r² to
+        # rounding.  eigvalsh's ℓ₁ misses T₁₁ by up to ε‖T‖, an ulp of v,
+        # whose square used to overflow to inf from v = 1e298 on.
+        for v in (1e16, 1e298, 1e300, np.finfo(float).max):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = asymptotics._qa_limit_block(p, v, 0.0, 200, make_rng(60 + p))
+                one = qa_limit_sample(p, v, rng=make_rng(60 + p))
+            _, e2 = _limit_law_blocks(p, v, 0.0, 200, make_rng(60 + p))
+            assert np.all(np.isfinite(got)), v
+            np.testing.assert_allclose(got, e2[0], rtol=1e-15, atol=0.0, err_msg=str(v))
+            _, e2 = _limit_law_blocks(p, v, 0.0, 1, make_rng(60 + p))
+            assert one == pytest.approx(e2[0, 0], rel=1e-15), v
+
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_an_overshooting_top_eigenvalue_is_clipped(self, p, monkeypatch):
+        # eigvalsh's ℓ₁ is accurate to about ε‖T‖ in either direction;
+        # numpy's OpenBLAS LAPACK errs downwards at large v, where the clip
+        # at 0 decides.  An ℓ₁ that errs upwards by 4ε‖T‖, to inf at the
+        # top of the float range, is clipped to the bound on ℓ₁ − T₁₁, so
+        # the value stays r².
+        eigvalsh = np.linalg.eigvalsh
+
+        def overshooting(a):
+            w = eigvalsh(a)
+            with np.errstate(over="ignore"):
+                w[:, -1] += 4.0 * np.finfo(float).eps * np.abs(a).max(axis=(1, 2))
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", overshooting)
+        for v in (1e16, 1e298, 1e300, np.finfo(float).max):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = asymptotics._qa_limit_block(p, v, 0.0, 200, make_rng(70 + p))
+            _, e2 = _limit_law_blocks(p, v, 0.0, 200, make_rng(70 + p))
+            np.testing.assert_allclose(got, e2[0], rtol=1e-15, atol=0.0, err_msg=str(v))
 
 
 class TestTridiagonalHits:
@@ -231,8 +276,9 @@ class TestTridiagonalHits:
 
 
 class TestRiskLaw:
-    """The tridiagonal model that type1_risk_iii draws has the law of the
-    dense limit matrix that qa_limit_sample reads, at every κ."""
+    """The tridiagonal model that type1_risk_iii and qa_limit_sample draw
+    has the law of the dense limit matrix Z_f + v e₁e₁ᵀ (dense_limit_law,
+    from sample_z_elliptical), at every κ."""
 
     @pytest.mark.parametrize("p", [2, 3, 10, 30])
     def test_risk_matches_the_dense_law(self, p):
@@ -240,7 +286,7 @@ class TestRiskLaw:
         for v in (0.0, 2.0, 8.0):
             for kappa in sorted({0.0, 0.5, min_kappa(p)}):
                 seed = 1000 * p + 10 * int(v)
-                values = asymptotics._qa_limit_block(p, v, kappa, M_dense, make_rng(seed))
+                values = _dense_law(p, v, kappa, M_dense, seed)
                 for alpha in (0.05, 0.01):
                     crit = chi2_quantile(1.0 - alpha, p - 1)
                     share = np.count_nonzero(values > crit) / M_dense
@@ -251,6 +297,20 @@ class TestRiskLaw:
                         continue
                     z = (est.risk - share) / math.sqrt(var)
                     assert abs(z) <= 5.0, (v, kappa, alpha, est.risk, share, z)
+
+    # Two-sample Kolmogorov–Smirnov tests at 27 (p, v, κ); each p-value
+    # must exceed 1% / 27, a family level of 1% (Bonferroni).
+    KS_LEVEL = 0.01 / 27
+
+    @pytest.mark.parametrize("p", [2, 3, 10])
+    def test_sampler_matches_the_dense_law(self, p):
+        M = 20_000
+        for v in (0.0, 2.0, 8.0):
+            for kappa in sorted({0.0, 0.5, min_kappa(p)}):
+                seed = 1000 * p + 10 * int(v)
+                values = asymptotics._qa_limit_block(p, v, kappa, M, make_rng(seed + 2))
+                ks = stats.ks_2samp(values, _dense_law(p, v, kappa, M, seed))
+                assert ks.pvalue > self.KS_LEVEL, (v, kappa, ks.statistic, ks.pvalue)
 
     @pytest.mark.parametrize("p", [2, 3, 10, 30])
     def test_kappa_is_a_rescaled_spike(self, p):
@@ -265,12 +325,11 @@ class TestRiskLaw:
 
 
 class TestLimitLawPins:
-    """Exact outputs of the limit-law samplers and risk estimator; the
-    samplers' were recorded before their Z_f construction moved to the
-    batch-last layout.  The
-    identity tests above compare paths that share one construction, so
-    only a pinned value sees a change in its bits (for example Σᵢ Zᵢᵢ of
-    the κ shift summed in another order)."""
+    """Exact outputs of the limit-law samplers and risk estimator.  The
+    identity tests above replay the sampler's own draws, so only a pinned
+    value sees a change in its bits (for example Σᵢ Zᵢᵢ of the κ shift
+    summed in another order, or a change in the order in which a block
+    takes its random numbers)."""
 
     # (p, κ, v) -> hits of type1_risk_iii(p, v, α, 300, make_rng(500 + p),
     # kappa=κ) at α = 0.05 and 0.01; κ "min" is min_kappa(p).  Recorded
@@ -325,23 +384,25 @@ class TestLimitLawPins:
     }
 
     # (p, κ) -> sha256 prefixes of three successive sample_z_elliptical
-    # draws from make_rng(700 + p), and of 16 successive
-    # qa_limit_sample(p, 2.0, κ) draws from make_rng(800 + p), which the
-    # same 16 draws taken as one block equal.  A lone draw sums its
-    # diagonal alike in either layout; only the block tells them apart.
+    # draws from make_rng(700 + p), of 16 successive
+    # qa_limit_sample(p, 2.0, κ) draws from make_rng(800 + p), and of
+    # _qa_limit_block(p, 2.0, κ, 16, make_rng(800 + p)).  A block draws all
+    # its normals and then all its chi-squares, so it differs from
+    # successive draws.  The last two were recorded again when the sampler
+    # moved to the tridiagonal model.
     DRAWS = {
-        (2, 0.0): ('24a7b0142ae40357', 'b9daac3e8a292ccf'),
-        (2, 0.5): ('6a602da0dd8867ec', '8e6882d7b20c7d84'),
-        (3, 0.0): ('c3b876b240408bcb', '39a9bb65da0a98c1'),
-        (3, 0.5): ('c25aab29a614189b', 'da93cbdd6fdcd3bf'),
-        (8, 0.0): ('a91a9a23adfb342f', 'a1d71fd09441b4bd'),
-        (8, 0.5): ('be15e37bb1bb0307', '598e532eb7ec7993'),
-        (10, 0.0): ('5dfb39a95fe95d53', '42f73a8895229683'),
-        (10, 0.5): ('5c9d9154723fee6c', '47da31cc91f33145'),
-        (24, 0.0): ('51ff0cd2fc3cce53', '5026c6cddf953126'),
-        (24, 0.5): ('beb1debcec5c307e', '48afea44f5aa2d0d'),
-        (30, 0.0): ('db78798c0d9e7996', '58253f10f228719e'),
-        (30, 0.5): ('415e04bb2b768733', '69a50fb619549896'),
+        (2, 0.0): ('24a7b0142ae40357', '0bf05edede53cb46', 'f9e5f646fb0c2f46'),
+        (2, 0.5): ('6a602da0dd8867ec', '3d29b6017abc15da', 'e3c0749913acc091'),
+        (3, 0.0): ('c3b876b240408bcb', '6327c50527a055cf', '00ae1d2188494c76'),
+        (3, 0.5): ('c25aab29a614189b', '5958251f1aff7a71', '6472d1c93b22fc15'),
+        (8, 0.0): ('a91a9a23adfb342f', '6f6aee25ce2d9799', 'c7348baa3fb27fd3'),
+        (8, 0.5): ('be15e37bb1bb0307', 'ad1362a12e037ce0', 'b33d97e01a8b40c4'),
+        (10, 0.0): ('5dfb39a95fe95d53', 'ecf8ea609a0b2afd', 'a54b2cd587afe94f'),
+        (10, 0.5): ('5c9d9154723fee6c', '55f913781da6ec00', 'a86ad6f2dc020be1'),
+        (24, 0.0): ('51ff0cd2fc3cce53', '6c73dc23d975c4fd', 'ea2eb98c0b64c423'),
+        (24, 0.5): ('beb1debcec5c307e', '88f8fd783fc22189', 'c4521ba7b581d8c0'),
+        (30, 0.0): ('db78798c0d9e7996', '6764f48280284e66', '2dd31c1bbd87cfca'),
+        (30, 0.5): ('415e04bb2b768733', 'aab92e0133aa119b', 'c32acdeb46294ecd'),
     }
 
     @staticmethod
@@ -368,9 +429,8 @@ class TestLimitLawPins:
             rng = make_rng(800 + p)
             q = np.array([qa_limit_sample(p, 2.0, kappa, rng=rng) for _ in range(16)])
             block = asymptotics._qa_limit_block(p, 2.0, kappa, 16, make_rng(800 + p))
-            expected = self.DRAWS[(p, kappa)]
-            assert (self._digest(z), self._digest(q)) == expected, (p, kappa)
-            assert self._digest(block) == expected[1], (p, kappa)
+            got = (self._digest(z), self._digest(q), self._digest(block))
+            assert got == self.DRAWS[(p, kappa)], (p, kappa)
 
 
 class TestQaLimitSampler:
@@ -399,6 +459,18 @@ class TestQaLimitSampler:
         rng = make_rng(101)
         draws = np.array([qa_limit_sample(3, 0.0, rng=rng) for _ in range(60_000)])
         assert draws.mean() == pytest.approx(49.0 / 6.0, abs=0.25)
+
+    def test_block_memory_at_p30(self):
+        # A block of _BLOCK dense 30 × 30 tridiagonal matrices takes 14.7 MB,
+        # and the sampler peaks at about 31 MB however many draws it makes;
+        # 20 000 dense Z_f drawn at once took 275 MB.
+        tracemalloc.start()
+        try:
+            asymptotics._qa_limit_block(30, 0.0, 0.0, 20_000, make_rng(116))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, peak
 
     def test_shift_reduces_risk(self):
         # a positive spike separates the first eigenvalue: the statistic
@@ -485,8 +557,12 @@ class TestRiskEstimators:
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf, min_kappa(3) - 1e-8])
     def test_invalid_kappa(self, kappa):
-        with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
-            type1_risk_iii(3, 0.0, 0.05, 100, make_rng(0), kappa=kappa)
+        for call in (
+            lambda: type1_risk_iii(3, 0.0, 0.05, 100, make_rng(0), kappa=kappa),
+            lambda: qa_limit_sample(3, 0.0, kappa, rng=make_rng(0)),
+        ):
+            with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
+                call()
 
     # v = inf used to give risk 0 with se 0 (every draw nan, and nan > crit
     # is False); v = nan used to fail in the eigensolver.

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 from scipy import stats as scipy_stats
 
-from spikedcov import asymptotics
 from spikedcov.asymptotics import sample_z_elliptical
 from spikedcov.distributions import (
     _chi2_cdf_sf,
@@ -255,18 +254,6 @@ class TestEllipticalSampler:
         Z2 = sample_z_elliptical(4, 0.0, make_rng(99))
         np.testing.assert_array_equal(Z1, Z2)
 
-    @pytest.mark.parametrize("kappa", [0.0, 0.4, -0.25, min_kappa(3)])
-    def test_block_equals_successive_draws(self, kappa):
-        # qa_limit_sample's m-draw block uses the generator exactly as m
-        # successive scalar draws do; the block holds the lower triangles,
-        # batch last, and a scalar draw is symmetric
-        block = asymptotics._elliptical_block(3, kappa, 40, make_rng(12))
-        rng = make_rng(12)
-        one_by_one = np.array([sample_z_elliptical(3, kappa, rng) for _ in range(40)])
-        lower = np.tril_indices(3)
-        np.testing.assert_array_equal(block[lower].T, one_by_one[:, lower[0], lower[1]])
-        np.testing.assert_array_equal(one_by_one, one_by_one.swapaxes(1, 2))
-
     def test_positive_kappa_moments(self):
         kappa, M = 0.4, 150_000
         rng = make_rng(10)
@@ -293,12 +280,10 @@ class TestEllipticalSampler:
 
     @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan, min_kappa(3) - 1e-8])
     def test_invalid_kappa_rejected_on_both_paths(self, kappa):
-        # non-finite κ used to return NaN/inf matrices, and the block path
-        # accepted κ just below the floor that the scalar path rejected
+        # non-finite κ used to return NaN/inf matrices, and the dense block
+        # path, since removed, accepted κ just below the floor
         with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
             sample_z_elliptical(3, kappa, make_rng(0))
-        with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
-            asymptotics._elliptical_block(3, kappa, 8, make_rng(0))
 
     def test_min_kappa_values(self):
         assert min_kappa(2) == pytest.approx(-0.5)

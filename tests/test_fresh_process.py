@@ -1,5 +1,5 @@
 """Checks that need a fresh interpreter: which modules importing and
-running spikedcov loads, the BLAS thread cap and OS threads of grids that
+running spikedcov and its CLI load, the BLAS thread cap and OS threads of grids that
 compute Q_H, and the CSV bytes under each OpenBLAS kernel.  Inside the
 test session scipy is already loaded and OpenBLAS has picked its kernel,
 so none of these can be seen here."""
@@ -20,14 +20,16 @@ PRINT_SCIPY_MODULES = (
 )
 
 
-def run_fresh(code: str, *args: str, env_vars: dict[str, str] | None = None) -> str:
-    """Run ``code`` in a new interpreter that imports spikedcov from the
-    source tree, with ``env_vars`` added to its environment; return its
-    standard output."""
+def run_fresh(
+    code: str, *args: str, env_vars: dict[str, str] | None = None, flags: tuple[str, ...] = ()
+) -> str:
+    """Run ``code`` in a new interpreter, started with the options
+    ``flags``, that imports spikedcov from the source tree, with
+    ``env_vars`` added to its environment; return its standard output."""
     env = dict(os.environ, **(env_vars or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -101,6 +103,19 @@ def test_pooled_grid_loads_the_process_pool_when_it_runs():
     code = "import spikedcov\n" + PRINT_POOL_MODULES + SCIPY_FREE["pooled null grid"]
     out = run_fresh(code + PRINT_POOL_MODULES).splitlines()
     assert [json.loads(line) for line in out[-2:]] == [[], POOL_MODULES]
+
+
+# Run under -S, where no site-packages .pth file loads pathlib first, with
+# the site-packages directories appended by hand.
+SITE_PACKAGES = [p for p in sys.path if os.path.basename(p) in ("site-packages", "dist-packages")]
+WITHOUT_SITE = f"import sys\nsys.path.extend({SITE_PACKAGES!r})\n"
+
+
+@pytest.mark.parametrize("case", ["import cli", "cli power", "cli asymptotic"])
+def test_cli_loads_no_pathlib(case):
+    code = "from spikedcov import cli\n" if case == "import cli" else SCIPY_FREE[case]
+    out = run_fresh(WITHOUT_SITE + code + "print('pathlib' in sys.modules)\n", flags=("-S",))
+    assert out.splitlines()[-1] == "False"
 
 
 # Runs a small Q_H grid with ``hpv_statistic`` wrapped so that every
