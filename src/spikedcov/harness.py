@@ -30,7 +30,6 @@ from .distributions import chi2_quantile, make_rng
 from .linalg import DegeneracyError
 from .model import RadialFamily, SpikedModel, SpikeRate, sample
 from .statistics import (
-    NEGATIVE_ROUNDING_TOL,
     anderson_statistic,
     hpv_statistic,
     kurtosis_from_summary,
@@ -540,10 +539,10 @@ def _freq_rows(config: ExperimentConfig, cells, stats) -> tuple[list[CellRow], l
     rows: list[CellRow] = []
     degenerate = []
     for cell, values in zip(cells, stats):
-        # ``nan > crit`` is False: a replicate with a non-finite statistic,
-        # or one negative beyond rounding, is degenerate, never a
-        # non-rejection.
-        ok = (np.isfinite(values) & (values >= -NEGATIVE_ROUNDING_TOL)).all(axis=1)
+        # ``nan > crit`` is False: a replicate with a non-finite or a
+        # negative statistic is degenerate, never a non-rejection.  No
+        # statistic rounds below zero, so a negative one is a defect.
+        ok = (np.isfinite(values) & (values >= 0.0)).all(axis=1)
         valid = int(ok.sum())
         if valid < config.M:
             degenerate.append((cell.label, config.M - valid))

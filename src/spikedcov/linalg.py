@@ -56,15 +56,10 @@ def _check_unit(theta: np.ndarray, name: str, p: int | None = None) -> np.ndarra
     return theta
 
 
-def _as_square(A: np.ndarray, name: str = "A") -> np.ndarray:
+def _require_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
-    return A
-
-
-def _require_symmetric(A: np.ndarray) -> np.ndarray:
-    A = _as_square(A)
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
     # max|A| is nan when an entry is nan and inf when one is ±inf.
     amax = float(abs(A).max()) if A.size else 0.0
     if not amax < math.inf:

@@ -96,8 +96,9 @@ def summarize(X: np.ndarray) -> SampleSummary:
     ValueError
         If entries are not finite, a column sum overflows, or n < p+1.
     DegeneracyError
-        If the covariance is numerically rank-deficient
-        (smallest eigenvalue < 1e-12 · largest).
+        If the covariance is numerically singular: its largest eigenvalue
+        is not positive (constant data), or its smallest is below
+        1e-12 · largest.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -114,15 +115,11 @@ def summarize(X: np.ndarray) -> SampleSummary:
         raise ValueError(f"need n >= p+1 observations, got n={n}, p={p}")
     mean = colsum / n
     Xc = X - mean
+    # Exactly symmetric: numpy forms Xcᵀ Xc with BLAS syrk and mirrors one
+    # triangle into the other, and its non-BLAS loop adds the same
+    # products in the same order for S_kl and S_lk.
     S = (Xc.T @ Xc) / n
-    S = (S + S.T) / 2.0  # clear rounding asymmetry before validation
-    eigen = sym_eigen(S)
-    if eigen.values[-1] < 1e-12 * eigen.values[0]:
-        raise DegeneracyError(
-            "sample covariance is numerically singular "
-            f"(smallest eigenvalue {eigen.values[-1]:.3e})"
-        )
-    return SampleSummary(n=n, mean=mean, cov=S, eigen=eigen, centred=(X, Xc))
+    return SampleSummary(n=n, mean=mean, cov=S, eigen=_nonsingular_eigen(S), centred=(X, Xc))
 
 
 def summary_from_covariance(S: np.ndarray, n: int) -> SampleSummary:
@@ -130,15 +127,28 @@ def summary_from_covariance(S: np.ndarray, n: int) -> SampleSummary:
 
     Useful when only the covariance is available (published matrices,
     precomputed summaries).  The mean is set to zero; it plays no role in
-    any statistic here.
+    any statistic here.  A singular S raises DegeneracyError, by the rule
+    :func:`summarize` applies.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    eigen = sym_eigen(S)
-    if eigen.values[-1] < 1e-12 * eigen.values[0]:
-        raise DegeneracyError("covariance matrix is numerically singular")
+    eigen = _nonsingular_eigen(S)
     S = np.asarray(S, dtype=float)
     return SampleSummary(n=n, mean=np.zeros(S.shape[0]), cov=S, eigen=eigen)
+
+
+def _nonsingular_eigen(S: np.ndarray) -> EigenSystem:
+    """The eigensystem of the covariance S, which must be numerically
+    nonsingular: λ̂₁ > 0 and λ̂_p ≥ 1e-12 · λ̂₁, so that every λ̂ is positive.
+    A zero S, which constant data give, is singular too."""
+    eigen = sym_eigen(S)
+    lam = eigen.values
+    if not (lam[0] > 0.0 and lam[-1] >= 1e-12 * lam[0]):
+        raise DegeneracyError(
+            "covariance is numerically singular "
+            f"(eigenvalues from {lam[0]:.3e} down to {lam[-1]:.3e})"
+        )
+    return eigen
 
 
 def _check_j(s: SampleSummary, j: int) -> int:
@@ -260,37 +270,21 @@ def oracle_statistic(s: SampleSummary, theta0: np.ndarray, sigma_n: np.ndarray) 
     return s.n * float(u @ u - 0.5 * (theta0 @ u) ** 2)
 
 
-# Every statistic here is nonnegative in exact arithmetic.  A collapsed
-# case (theta0 equal to a sample eigenvector) can round slightly below
-# zero; a value further below than this is not rounding.
-NEGATIVE_ROUNDING_TOL = 1e-8
-
-
-def _nonnegative(statistic: float) -> float:
-    """``statistic`` with rounding below zero clamped to 0.
-
-    Raises
-    ------
-    DegeneracyError
-        If ``statistic`` is non-finite or below ``-NEGATIVE_ROUNDING_TOL``.
-    """
-    stat = float(statistic)
-    if not math.isfinite(stat) or stat < -NEGATIVE_ROUNDING_TOL:
-        raise DegeneracyError(f"statistic {stat!r} is not a finite nonnegative value")
-    return max(stat, 0.0)
-
-
 def decide(statistic: float, df: int, alpha: float) -> TestOutcome:
     """P-value and rejection decision against the chi-square(df) law.
 
     Raises
     ------
     DegeneracyError
-        If ``statistic`` is non-finite or negative beyond rounding.
+        If ``statistic`` is non-finite or negative.  Every statistic here
+        is computed in a form that cannot round below zero, so a negative
+        value is a defect, not rounding.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    stat = _nonnegative(statistic)
+    stat = float(statistic)
+    if not 0.0 <= stat < math.inf:  # False for nan too
+        raise DegeneracyError(f"statistic {stat!r} is not a finite nonnegative value")
     pvalue = _chi2_cdf_sf(stat, df)[1]
     reject = stat > chi2_quantile(1.0 - alpha, df)
     return TestOutcome(statistic=stat, df=df, pvalue=pvalue, alpha=alpha, reject=reject)

@@ -450,14 +450,12 @@ class TestQaLimitSampler:
     def test_p2_gap_law(self):
         # marginal check of the underlying matrix ensemble through the
         # statistic at v=0: the sampled values match 4*chi2_1 (KS, 1%)
-        rng = make_rng(100)
-        draws = np.array([qa_limit_sample(2, 0.0, rng=rng) for _ in range(20_000)])
+        draws = asymptotics._qa_limit_block(2, 0.0, 0.0, 20_000, make_rng(100))
         D, pval = stats.kstest(draws, lambda x: stats.chi2.cdf(x / 4.0, 1))
         assert pval > 0.01, (D, pval)
 
     def test_p3_mean(self):
-        rng = make_rng(101)
-        draws = np.array([qa_limit_sample(3, 0.0, rng=rng) for _ in range(60_000)])
+        draws = asymptotics._qa_limit_block(3, 0.0, 0.0, 60_000, make_rng(101))
         assert draws.mean() == pytest.approx(49.0 / 6.0, abs=0.25)
 
     def test_block_memory_at_p30(self):

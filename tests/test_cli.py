@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through click's test runner."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import click
@@ -102,6 +103,20 @@ class TestTestCommand:
         assert result.exit_code == 1
         assert not isinstance(result.exception, ValueError)  # no traceback
         assert "not a finite nonnegative value" in result.output
+
+    def test_constant_data_is_a_singular_covariance(self, runner, tmp_path):
+        # Refused where the data are summarised, before κ̂ divides by the
+        # zero spectrum or Q_A reads its ties: one error line naming the
+        # covariance, and no numpy warning.
+        f = write_dataset(tmp_path / "const.csv", np.ones((20, 3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["test", str(f), "--theta0", "1,0,0", "--pseudo"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "covariance is numerically singular" in errors[0], errors
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_pseudo_flag(self, runner, tmp_path):
         f = write_dataset(tmp_path / "d.csv", spiked_data())

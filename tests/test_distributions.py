@@ -274,14 +274,12 @@ class TestEllipticalSampler:
             cross = np.mean(d[:, 0, 0] * d[:, 1, 1])
             assert cross == pytest.approx(kappa, abs=5 * math.sqrt(8.0 / M))
 
-    def test_kappa_below_floor_rejected(self):
-        with pytest.raises(ValueError):
-            sample_z_elliptical(3, min_kappa(3) - 0.01, make_rng(0))
-
-    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan, min_kappa(3) - 1e-8])
-    def test_invalid_kappa_rejected_on_both_paths(self, kappa):
-        # non-finite κ used to return NaN/inf matrices, and the dense block
-        # path, since removed, accepted κ just below the floor
+    @pytest.mark.parametrize(
+        "kappa", [min_kappa(3) - 0.01, min_kappa(3) - 1e-8, -math.inf, math.inf, math.nan]
+    )
+    def test_kappa_below_floor_rejected(self, kappa):
+        # κ must be a finite number at or above the floor; a non-finite κ
+        # would give NaN/inf matrices
         with pytest.raises(ValueError, match=r"-2/\(p\+2\)"):
             sample_z_elliptical(3, kappa, make_rng(0))
 

@@ -569,7 +569,7 @@ class TestHighDim:
         assert np.isnan(harness._chunk_statistics(cfg, 0, 0, 3)).all()
 
     def test_negative_statistic_counted_as_degenerate(self, monkeypatch):
-        # -5 and -1e-6 are not rounding; -1e-15 is, and counts as 0
+        # No statistic rounds below zero, so -1e-15 is degenerate as -5 is.
         calls = iter([-5.0, -1e-6, -1e-15, 1e9, 0.0])
 
         def fake_stats(config, cell, rng, row):
@@ -580,9 +580,9 @@ class TestHighDim:
             experiment="highdim", n=60, M=5, cgrid=(0.5,), alphas=(0.05,), seed=8
         )
         res = run_experiment(cfg)
-        assert dict(res.degenerate) == {"c=0.5": 2}
+        assert dict(res.degenerate) == {"c=0.5": 3}
         hpv = [r for r in res.rows if r.test == "hpv"][0]
-        assert hpv.M == 3 and hpv.freq == pytest.approx(1 / 3)
+        assert hpv.M == 2 and hpv.freq == 0.5
 
 
 # One small grid per experiment kind.  The null grid holds a Student-t
