@@ -27,9 +27,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import Rng, chi2_quantile, min_kappa, noncentral_chi2_cdf
+from .distributions import Rng, _check_alpha, chi2_quantile, min_kappa, noncentral_chi2_cdf
 from .linalg import _check_unit
-from .statistics import SampleSummary
+from .statistics import SampleSummary, _check_delta, _check_sigma_n, _check_v
 
 __all__ = [
     "LocalExperiment",
@@ -76,14 +76,13 @@ def _check_kappa(p: int, kappa: float) -> None:
         )
 
 
-def _check_v(v: float) -> None:
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"v must be finite and nonnegative, got {v}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+def _check_limit_law(p: int, v: float, kappa: float) -> float:
+    """Check p ≥ 2, v and κ; return the limit law's spike v/√(1+κ)."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    _check_v(v)
+    _check_kappa(p, kappa)
+    return v / math.sqrt(1.0 + kappa)
 
 
 def _diagonal_shift(p: int, kappa: float) -> float:
@@ -150,11 +149,7 @@ def _qa_limit_block(p: int, v: float, kappa: float, m: int, rng: Rng) -> np.ndar
     and ŝ is formed as r²/(√(h² + r²) − h); at large v it is of order r²/v,
     and the value is r².
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    _check_v(v)
-    _check_kappa(p, kappa)
-    v = v / math.sqrt(1.0 + kappa)
+    v = _check_limit_law(p, v, kappa)
     out = np.empty(m)
     for done in range(0, m, _BLOCK):
         k = min(_BLOCK, m - done)
@@ -237,9 +232,8 @@ def type1_risk_iii(
     v = 0 gives the risk below the contiguity rate (vanishing spike).
 
     The optional ``kappa`` switches to the elliptical limit law of the
-    kurtosis-corrected statistic; it raises ValueError when κ is
-    non-finite or below −2/(p+2).  A negative or non-finite v, or alpha
-    outside (0, 1), raises ValueError too.
+    kurtosis-corrected statistic.  Raises ValueError on p, v or κ as
+    :func:`qa_limit_sample` does, for M < 1 and for alpha outside (0, 1).
 
     Each draw is decided on the tridiagonal model of Z_f + v e₁e₁ᵀ
     (:func:`_tridiagonal_block`) by :func:`_tridiagonal_hits`.  κ enters
@@ -248,14 +242,10 @@ def type1_risk_iii(
     the scale, so the risk at (v, κ) is the Gaussian risk at v/√(1+κ).
     The result is fixed by (p, v, κ, alpha, M, rng).
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    v = _check_limit_law(p, v, kappa)
     if M < 1:
         raise ValueError("M must be at least 1")
-    _check_v(v)
     _check_alpha(alpha)
-    _check_kappa(p, kappa)
-    v = v / math.sqrt(1.0 + kappa)
     c = chi2_quantile(1.0 - alpha, p - 1)
     hits = 0
     for done in range(0, M, _BLOCK):
@@ -278,36 +268,32 @@ def eigen_limit_sample(
     and below, the eigenvector frame) of √n r_n-scale spectral fluctuations.
 
     Regimes: "i" (constant spike), "ii" (shrinking, above 1/√n), "iii"
-    (boundary r_n = 1/√n), "iv" (below; v is ignored).  Returns
-    ``(values, frame)``: ``values`` descend after the first entry, and
-    ``frame`` is a (p, p) array whose row j is the eigenvector w_j of
-    Z_f + v e₁e₁ᵀ, signed so that w_{j1} > 0 (almost surely).  In regimes i/ii the first
-    eigenvalue limit is a normal scalar and ``frame`` is None.
+    (boundary r_n = 1/√n), "iv" (below; v is checked, then taken as 0).
+    Returns ``(values, frame)``: ``values`` descend after the first entry,
+    and ``frame`` is a (p, p) array whose row j is the eigenvector w_j of
+    Z_f + v e₁e₁ᵀ, signed so that w_{j1} > 0 (almost surely); in regimes
+    i/ii the first eigenvalue limit is a normal scalar and ``frame`` is
+    None.  p, v and κ follow :func:`qa_limit_sample`'s rules.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    _check_v(v)
+    _check_limit_law(p, v, kappa)
     Zf = sample_z_elliptical(p, kappa, rng)
     if regime in ("i", "ii"):
         scale = (1.0 + v) if regime == "i" else 1.0
         l1 = scale * Zf[0, 0]
         trailing = np.linalg.eigvalsh(Zf[1:, 1:])[::-1]
         return np.concatenate(([l1], trailing)), None
-    A = Zf.copy()
-    A[0, 0] += v
-    lam, V = np.linalg.eigh(A)
-    lam_desc = lam[::-1]
+    v = 0.0 if regime == "iv" else v
+    Zf[0, 0] += v
+    lam, V = np.linalg.eigh(Zf)
     V = V[:, ::-1]
     frame = (V * np.where(V[0, :] < 0, -1.0, 1.0)).T
-    if regime == "iii":
-        # First eigenvalue limit comes from the complementary shift
-        # Z_f − diag(0, v, ..., v) = A − v·I, so it is ℓ₁(A) − v.
-        values = lam_desc.copy()
-        values[0] -= v
-        return values, frame
-    return lam_desc, frame
+    # With A = Z_f + v e₁e₁ᵀ, the first eigenvalue limit comes from the
+    # complementary shift Z_f − diag(0, v, ..., v) = A − v·I: ℓ₁(A) − v.
+    values = lam[::-1].copy()
+    values[0] -= v
+    return values, frame
 
 
 def joint_eigenvalue_density(ell: np.ndarray, kappa: float = 0.0) -> float:
@@ -338,8 +324,7 @@ def ncp_regime12(v: float, delta: int, tau_norm: float) -> float:
     """Noncentrality parameter of the optimal tests above the boundary:
     (v²/(1+δv)) ‖τ‖²."""
     _check_v(v)
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
+    _check_delta(delta)
     if not 0.0 <= tau_norm < math.inf:
         raise ValueError(f"tau_norm must be finite and nonnegative, got {tau_norm}")
     return v**2 / (1.0 + delta * v) * tau_norm**2
@@ -390,12 +375,12 @@ def local_experiment(
     Δ_{n,δ} = (√n v/(1+δv)) (I − θ₀θ₀ᵀ)(S − Σ_n)θ₀ and
     Γ_δ = (v²/(1+δv)) (I − θ₀θ₀ᵀ).  The quadratic form ΔᵀΓ⁻Δ (pseudo-
     inverse on the orthocomplement) reproduces the q_delta statistic.
-    Raises ValueError unless theta0 is a unit vector of length p.
+    Raises ValueError where q_delta does, and unless sigma_n is p×p.
     """
     theta0 = _check_unit(theta0, "theta0", s.p)
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
-    sigma_n = np.asarray(sigma_n, dtype=float)
+    _check_v(v)
+    _check_delta(delta)
+    sigma_n = _check_sigma_n(s, sigma_n)
     P_comp = np.eye(s.p) - np.outer(theta0, theta0)
     central = (math.sqrt(s.n) * v / (1.0 + delta * v)) * (P_comp @ ((s.cov - sigma_n) @ theta0))
     info = v**2 / (1.0 + delta * v) * P_comp

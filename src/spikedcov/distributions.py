@@ -165,6 +165,11 @@ def _normal_quantile_approx(p: float) -> float:
     )
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def chi2_quantile(q: float, df: int) -> float:
     """Chi-square quantile; inverse of :func:`chi2_cdf` in its first argument.
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import asymptotic_power, ncp_hpv_iii, ncp_oracle_iii, type1_risk_iii
-from .distributions import chi2_quantile, make_rng
+from .distributions import _check_alpha, chi2_quantile, make_rng
 from .linalg import DegeneracyError
 from .model import RadialFamily, SpikedModel, SpikeRate, sample
 from .statistics import (
@@ -89,8 +89,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError("alpha levels must lie strictly in (0, 1)")
+            _check_alpha(a)
         if not self.alphas:
             raise ValueError("alpha grid must be non-empty")
         if not _cells_for(self):

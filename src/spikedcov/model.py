@@ -129,10 +129,9 @@ def sample(model: SpikedModel, n: int, family: RadialFamily, rng: Rng) -> np.nda
     the chi-square mixing draws) to keep streams reproducible.
     Only the columns where θ₁ is non-zero receive the spike, and the
     scale and shift are skipped when sigma = 1 and mu = 0; adding a zero
-    or scaling by one would leave every value as it is.
+    or scaling by one would leave every value as it is.  Any n ≥ 1 is
+    drawn: n ≥ p + 1 is the rule of ``summarize``, which needs it.
     """
-    if n < model.p + 1:
-        raise ValueError("need n >= p+1 so the sample covariance is nonsingular")
     r = model.rate.at(n)
     spike = math.sqrt(1.0 + r * model.v) - 1.0
     X = rng.standard_normal((n, model.p))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _chi2_cdf_sf, chi2_quantile
+from .distributions import _check_alpha, _chi2_cdf_sf, chi2_quantile
 from .linalg import (
     DegeneracyError,
     EigenSystem,
@@ -232,23 +232,39 @@ def kurtosis_from_summary(s: SampleSummary, X: np.ndarray) -> float:
 
 
 def pseudo_gaussian(statistic: float, kappa_hat: float) -> float:
-    """Kurtosis-corrected statistic: statistic / (1 + κ̂)."""
-    if 1.0 + kappa_hat <= 0.0:
-        raise ValueError("pseudo-Gaussian correction requires 1 + kappa_hat > 0")
+    """Kurtosis-corrected statistic: statistic / (1 + κ̂), for finite κ̂ > −1."""
+    if not 0.0 < 1.0 + kappa_hat < math.inf:  # False for nan too
+        raise ValueError(f"pseudo-Gaussian correction needs finite kappa_hat > -1, got {kappa_hat}")
     return statistic / (1.0 + kappa_hat)
+
+
+def _check_v(v: float) -> None:
+    if not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"v must be finite and nonnegative, got {v}")
+
+
+def _check_delta(delta: int) -> None:
+    if delta not in (0, 1):
+        raise ValueError(f"delta must be 0 or 1, got {delta!r}")
+
+
+def _check_sigma_n(s: SampleSummary, sigma_n: np.ndarray) -> np.ndarray:
+    sigma_n = np.asarray(sigma_n, dtype=float)
+    if sigma_n.shape != s.cov.shape:
+        raise ValueError(f"sigma_n must match the sample covariance shape, got {sigma_n.shape}")
+    return sigma_n
 
 
 def q_delta(s: SampleSummary, theta0: np.ndarray, v: float, delta: int) -> float:
     """Locally optimal statistic (n/(1+δv)) θ₀ᵀS(I − θ₀θ₀ᵀ)Sθ₀.
 
-    delta is 1 when the spike is constant (r_n ≡ 1) and 0 whenever it
-    vanishes (r_n → 0); requires the spike strength v to be known.
+    delta ∈ {0, 1} is 1 when the spike is constant (r_n ≡ 1) and 0 when it
+    vanishes (r_n → 0); the known spike strength v must be finite and ≥ 0,
+    and theta0 a unit p-vector, or ValueError is raised.
     """
     theta0 = _check_unit(theta0, "theta0", s.p)
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
-    if v < 0:
-        raise ValueError("v must be nonnegative")
+    _check_v(v)
+    _check_delta(delta)
     # (I − θ₀θ₀ᵀ)Sθ₀ as a vector, so that the value is a squared norm: the
     # scalar form ‖Sθ₀‖² − (θ₀ᵀSθ₀)² cancels near an eigenvector of S.
     St0 = s.cov @ theta0
@@ -263,10 +279,7 @@ def oracle_statistic(s: SampleSummary, theta0: np.ndarray, sigma_n: np.ndarray) 
     with p (not p−1) degrees of freedom.
     """
     theta0 = _check_unit(theta0, "theta0", s.p)
-    sigma_n = np.asarray(sigma_n, dtype=float)
-    if sigma_n.shape != s.cov.shape:
-        raise ValueError("sigma_n must match the sample covariance shape")
-    u = (s.cov - sigma_n) @ theta0
+    u = (s.cov - _check_sigma_n(s, sigma_n)) @ theta0
     return s.n * float(u @ u - 0.5 * (theta0 @ u) ** 2)
 
 
@@ -280,8 +293,7 @@ def decide(statistic: float, df: int, alpha: float) -> TestOutcome:
         is computed in a form that cannot round below zero, so a negative
         value is a defect, not rounding.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     stat = float(statistic)
     if not 0.0 <= stat < math.inf:  # False for nan too
         raise DegeneracyError(f"statistic {stat!r} is not a finite nonnegative value")

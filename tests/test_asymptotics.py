@@ -13,6 +13,7 @@ import copy
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,8 +34,9 @@ from spikedcov.asymptotics import (
     type1_risk_iii,
 )
 from spikedcov.distributions import chi2_quantile, make_rng, min_kappa
+from spikedcov.harness import ExperimentConfig
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
-from spikedcov.statistics import q_delta, summarize
+from spikedcov.statistics import decide, q_delta, summarize
 
 from model_oracles import dense_limit_law
 
@@ -45,6 +47,10 @@ def unit(p, i=0):
     e = np.zeros(p)
     e[i] = 1.0
     return e
+
+
+def _summary3():
+    return summarize(make_rng(116).standard_normal((50, 3)))
 
 
 def _qa_from_eigh(T: np.ndarray) -> float:
@@ -537,11 +543,16 @@ class TestRiskEstimators:
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1, 0.0, 1.0, 1.5])
     def test_invalid_alpha_names_alpha(self, alpha):
+        # decide used to leave out the value, and ExperimentConfig said
+        # "alpha levels must lie strictly in (0, 1)".
         for call in (
             lambda: type1_risk_iii(3, 0.0, alpha, 100, make_rng(0)),
             lambda: asymptotic_power(2, 1.0, alpha),
+            lambda: decide(1.0, 2, alpha),
+            lambda: ExperimentConfig(experiment="null", alphas=(0.05, alpha)),
         ):
-            with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            message = f"alpha must lie strictly between 0 and 1, got {alpha}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 call()
 
     def test_invalid_M(self):
@@ -575,6 +586,10 @@ class TestRiskEstimators:
             lambda v: ncp_hpv_iii(v, 1.0),
             lambda v: ncp_oracle_iii(v, 1.0),
             lambda v: ncp_regime12(v, 0, 1.0),
+            # v = nan used to give nan and v = inf 0.0
+            lambda v: q_delta(_summary3(), unit(3), v, 1),
+            # v was not checked: v = −1 with δ = 1 divided by zero
+            lambda v: local_experiment(_summary3(), unit(3), v, 1, np.eye(3)),
         ],
         ids=[
             "type1_risk_iii",
@@ -583,6 +598,8 @@ class TestRiskEstimators:
             "ncp_hpv_iii",
             "ncp_oracle_iii",
             "ncp_regime12",
+            "q_delta",
+            "local_experiment",
         ],
     )
     def test_invalid_v(self, draw, v):
@@ -642,12 +659,14 @@ class TestEigenLimitSample:
             shifted[0] += v
             np.testing.assert_allclose(E @ Z @ E.T, np.diag(shifted), atol=1e-10)
 
-    def test_regime_iv_frame_properties(self):
+    # Regime iv has no spike, whatever v is given; v used to be added.
+    @pytest.mark.parametrize("v", [0.0, 1.0, 50.0])
+    def test_regime_iv_frame_properties(self, v):
         rng = make_rng(111)
         for _ in range(50):
-            # a copy of the generator redraws the same Z_f (v = 0 here)
+            # a copy of the generator redraws the same Z_f, unshifted
             Z = sample_z_elliptical(4, 0.0, copy.deepcopy(rng))
-            values, E = eigen_limit_sample(4, 0.0, "iv", rng=rng)
+            values, E = eigen_limit_sample(4, v, "iv", rng=rng)
             assert E.shape == (4, 4)
             assert np.all(np.diff(values) <= 0)
             np.testing.assert_allclose(E @ E.T, np.eye(4), atol=1e-10)
@@ -857,6 +876,12 @@ class TestLocalExperiment:
         s = summarize(make_rng(116).standard_normal((50, 3)))
         with pytest.raises(ValueError, match="unit|length"):
             local_experiment(s, np.array(theta0), 2.0, 0, np.eye(3))
+
+    # A (p,) or scalar sigma_n used to be broadcast against S.
+    @pytest.mark.parametrize("sigma_n", [np.ones(3), 1.0], ids=["vector", "scalar"])
+    def test_sigma_n_must_be_p_by_p(self, sigma_n):
+        with pytest.raises(ValueError, match="sigma_n must match"):
+            local_experiment(_summary3(), unit(3), 2.0, 0, sigma_n)
 
     def test_central_sequence_covariance(self):
         # under a constant spike (delta = 1 matching), Cov(Delta) -> Gamma

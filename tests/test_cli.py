@@ -477,6 +477,17 @@ class TestBanknoteCommand:
         assert result.exit_code == 0, result.output
         assert "warning" in result.output
 
+    def test_raw_data_other_dimension_skips_the_test(self, runner, tmp_path):
+        f = write_dataset(tmp_path / "p3.csv", make_rng(6).standard_normal((30, 3)))
+        result = runner.invoke(main, ["banknote", "--data", str(f)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert "warning: expected an 85×4 measurement matrix, got 30×3" in result.output
+        eigen = [line for line in lines if line.startswith("eigenvalues: ")]
+        assert len(eigen) == 1 and len(eigen[0].split()) == 4
+        assert lines[-1] == "non-standard dimension: skipping the θ₂ hypothesis test"
+        assert "hypothesis:" not in result.output
+
 
 # Bad numeric input to every command that takes a number from the user.
 # DATA is a 60×3 Gaussian CSV, SMALL a 5×4 one (n = p + 1, too few rows

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from spikedcov.distributions import make_rng
 from spikedcov.model import RadialFamily, SpikedModel, SpikeRate, sample
+from spikedcov.statistics import summarize
 
 from model_oracles import covariance_at, kurtosis_of
 
@@ -241,3 +242,12 @@ class TestSampling:
     def test_sample_shape(self):
         m = SpikedModel(p=5, sigma=1.0, v=1.0, rate=SpikeRate.constant(1.0), theta1=unit(5))
         assert sample(m, 17, RadialFamily.gaussian(), make_rng(1)).shape == (17, 5)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_n_at_most_p_is_refused_by_summarize(self, n):
+        # n >= p + 1 is summarize's rule; the sampler draws any n >= 1.
+        m = SpikedModel(p=5, sigma=1.0, v=1.0, rate=SpikeRate.constant(1.0), theta1=unit(5))
+        X = sample(m, n, RadialFamily.gaussian(), make_rng(1))
+        assert X.shape == (n, 5)
+        with pytest.raises(ValueError, match=r"need n >= p\+1"):
+            summarize(X)

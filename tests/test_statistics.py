@@ -380,8 +380,10 @@ class TestKurtosis:
     def test_pseudo_gaussian(self):
         assert pseudo_gaussian(6.0, 0.5) == pytest.approx(4.0)
         assert pseudo_gaussian(6.0, 0.0) == 6.0
-        with pytest.raises(ValueError):
-            pseudo_gaussian(6.0, -1.0)
+        # κ̂ = nan used to give nan and κ̂ = inf 0.0
+        for kappa_hat in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="kappa_hat"):
+                pseudo_gaussian(6.0, kappa_hat)
 
 
 class TestQDeltaAndOracle:
