@@ -302,11 +302,12 @@ def joint_eigenvalue_density(ell: np.ndarray, kappa: float = 0.0) -> float:
     exp(−[Σℓ² − (κ/((p+2)κ+2)) (Σℓ)²] / (4(1+κ))) · Π_{k<j} (ℓ_k − ℓ_j),
     which at κ = 0 is exp(−¼ Σℓ²) · Π_{k<j} (ℓ_k − ℓ_j) to the last bit.
     Normalizing constants are intentionally omitted.  Raises ValueError
-    when κ is non-finite or below −2/(p+2).
+    when ℓ is not a finite descending vector, or κ is non-finite or below
+    −2/(p+2).
     """
     ell = np.asarray(ell, dtype=float)
-    if ell.ndim != 1 or ell.shape[0] < 1:
-        raise ValueError("ell must be a nonempty vector")
+    if ell.ndim != 1 or ell.shape[0] < 1 or not np.isfinite(ell).all():
+        raise ValueError("ell must be a nonempty vector of finite values")
     if np.any(np.diff(ell) > 0):
         raise ValueError("eigenvalues must be sorted in descending order")
     p = ell.shape[0]

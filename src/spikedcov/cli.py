@@ -7,6 +7,10 @@ Subcommands:
 * ``asymptotic`` — estimate limiting type-I risks of the Anderson test
 * ``power``      — tabulate boundary-regime noncentralities and powers
 * ``banknote``   — the built-in covariance case study
+
+Errors end at one boundary, ``main``'s ``invoke``: a ``ValueError`` or
+``OSError`` that a command raises becomes one ``Error:`` line and exit
+code 1; any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from .asymptotics import (
     ncp_oracle_iii,
     type1_risk_iii,
 )
-from .data import ParseError, banknote_fixture_path, load_csv
+from .data import banknote_fixture_path, load_csv
 from .distributions import make_rng
 from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
-from .linalg import DegeneracyError
 from .model import RadialFamily
 from .statistics import (
     SampleSummary,
@@ -42,7 +45,17 @@ from .statistics import (
 )
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own handler exits quietly on a closed stdout
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="spikedcov")
 def main():
     """Tests for principal component directions under weak identifiability."""
@@ -70,16 +83,13 @@ def _test_rows(
 ) -> list[tuple[str, TestOutcome]]:
     """Q_A and Q_H of H0: θ_j = theta decided at level alpha, followed by
     their pseudo-Gaussian versions when ``kappa_hat`` is given."""
-    try:
-        stats = {"anderson": anderson_statistic(s, theta, j), "hpv": hpv_statistic(s, theta, j)}
-        rows = [(name, decide(q, s.p - 1, alpha)) for name, q in stats.items()]
-        if kappa_hat is not None:
-            rows += [
-                (f"{name}_pseudo", decide(pseudo_gaussian(q, kappa_hat), s.p - 1, alpha))
-                for name, q in stats.items()
-            ]
-    except (DegeneracyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    stats = {"anderson": anderson_statistic(s, theta, j), "hpv": hpv_statistic(s, theta, j)}
+    rows = [(name, decide(q, s.p - 1, alpha)) for name, q in stats.items()]
+    if kappa_hat is not None:
+        rows += [
+            (f"{name}_pseudo", decide(pseudo_gaussian(q, kappa_hat), s.p - 1, alpha))
+            for name, q in stats.items()
+        ]
     return rows
 
 
@@ -92,14 +102,8 @@ def _leave_one_out_pvalues(X: np.ndarray, theta: np.ndarray, j: int, alpha: floa
         raise click.ClickException(
             f"leave-one-out needs n >= p + 2 observations, got n={n}, p={p}"
         )
-    pvalues = []
-    for i in range(n):
-        try:
-            s = summarize(np.delete(X, i, axis=0))
-        except (DegeneracyError, ValueError) as exc:
-            raise click.ClickException(str(exc))
-        pvalues.append([outcome.pvalue for _, outcome in _test_rows(s, theta, j, alpha)])
-    return np.array(pvalues)
+    rows = (_test_rows(summarize(np.delete(X, i, axis=0)), theta, j, alpha) for i in range(n))
+    return np.array([[outcome.pvalue for _, outcome in r] for r in rows])
 
 
 def _print_outcome_table(rows: list[tuple[str, TestOutcome]]):
@@ -119,15 +123,9 @@ def _print_outcome_table(rows: list[tuple[str, TestOutcome]]):
 @click.option("--pseudo", is_flag=True, help="Also report kurtosis-corrected statistics.")
 def cmd_test(data: str, theta0: str, j: int, alpha: float, pseudo: bool):
     """Run the Anderson and Gram-Schmidt tests of H0: θ_j = theta0 on DATA."""
-    try:
-        ds = load_csv(data)
-    except ParseError as exc:
-        raise click.ClickException(f"{data}: {exc}")
+    ds = load_csv(data)
     theta = _parse_theta0(theta0, ds.p)
-    try:
-        s = summarize(ds.values)
-    except (DegeneracyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    s = summarize(ds.values)
     kappa_hat = kurtosis_from_summary(s, ds.values) if pseudo else None
     rows = _test_rows(s, theta, j, alpha, kappa_hat)
     click.echo(f"n={ds.n} p={ds.p} j={j} alpha={alpha:g}")
@@ -149,17 +147,16 @@ def _parse_family(token: str) -> RadialFamily:
     token = token.strip().lower()
     if token == "gaussian":
         return RadialFamily.gaussian()
-    if token.startswith("t"):
-        try:
-            return RadialFamily.student_t(float(token[1:]))
-        except ValueError:
-            pass
-    raise click.ClickException(f"unknown family {token!r} (use 'gaussian' or 't<nu>', e.g. t6)")
+    try:
+        if not token.startswith("t"):
+            raise ValueError(token)
+        nu = float(token[1:])
+    except ValueError:
+        raise click.ClickException(f"unknown family {token!r} (use 'gaussian' or 't<nu>', e.g. t6)")
+    return RadialFamily.student_t(nu)
 
 
 def _parse_scalar(kind: type, token: str):
-    if kind is RadialFamily:
-        return _parse_family(token)
     if kind is bool:
         if token.lower() in ("true", "1", "yes"):
             return True
@@ -174,6 +171,9 @@ def _parse_config_value(key: str, raw: str):
     if kind is None:
         raise click.ClickException(f"unknown config key {key!r}")
     raw = raw.strip()
+    if kind == tuple[RadialFamily, ...]:
+        # Outside the try below, so a family's own rule (nu > 4) reaches main.
+        return tuple(_parse_family(tok) for tok in raw.split(","))
     try:
         if typing.get_origin(kind) is tuple:
             item = typing.get_args(kind)[0]
@@ -219,15 +219,12 @@ def cmd_simulate(experiment, config_path, overrides, out: str, seed: int, worker
             raise click.ClickException(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         settings[key.strip()] = _parse_config_value(key.strip(), raw)
-    try:
-        config = ExperimentConfig(
-            experiment=experiment, seed=seed, workers=workers, **settings
-        )
-        result = run_experiment(config)
-    except (ValueError, DegeneracyError) as exc:
-        raise click.ClickException(str(exc))
+    config = ExperimentConfig(experiment=experiment, seed=seed, workers=workers, **settings)
     out = Path(out)
     base = out.with_suffix("") if out.suffix == ".csv" else out
+    if not base.parent.is_dir():
+        raise click.ClickException(f"--out directory {str(base.parent)!r} does not exist")
+    result = run_experiment(config)
     csv_path = base.with_suffix(".csv")
     txt_path = base.with_suffix(".txt")
     csv_path.write_text(result.to_csv())
@@ -248,10 +245,7 @@ def cmd_asymptotic(regime, p, v, alpha, m_draws, kappa, seed):
     """Monte Carlo estimate of the limiting type-I risk of the Anderson test."""
     if regime == "iv":
         v = 0.0
-    try:
-        est = type1_risk_iii(p, v, alpha, m_draws, make_rng(seed), kappa=kappa)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    est = type1_risk_iii(p, v, alpha, m_draws, make_rng(seed), kappa=kappa)
     click.echo(f"seed: {seed}")
     click.echo("regime p v alpha kappa risk se M")
     click.echo(
@@ -284,13 +278,10 @@ def cmd_power(p, v, alpha, tau_grid):
     # prints the error alone.
     rows = []
     for tau in taus:
-        try:
-            ncp_h = ncp_hpv_iii(v, tau)
-            ncp_o = ncp_oracle_iii(v, tau)
-            pw_h = asymptotic_power(p - 1, ncp_h, alpha)
-            pw_o = asymptotic_power(p, ncp_o, alpha)
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
+        ncp_h = ncp_hpv_iii(v, tau)
+        ncp_o = ncp_oracle_iii(v, tau)
+        pw_h = asymptotic_power(p - 1, ncp_h, alpha)
+        pw_o = asymptotic_power(p, ncp_o, alpha)
         rows.append(f"{tau:.10g} {ncp_h:.10g} {ncp_o:.10g} {pw_h:.10g} {pw_o:.10g}")
     click.echo("tau_norm ncp_hpv ncp_oracle power_hpv power_oracle")
     for row in rows:
@@ -315,27 +306,24 @@ def cmd_banknote(data_path, alpha):
     Tests H0: θ₂ = (1,1,0,0)/√2 — "the second component is an equal-weight
     contrast of the two width measurements".
     """
-    try:
-        if data_path is None:
-            ds = load_csv(banknote_fixture_path())
-            printed = ds.values
-            c_n = (BANKNOTE_N - 1) / BANKNOTE_N
-            s = summary_from_covariance(c_n * printed, BANKNOTE_N)
-            click.echo(f"source: built-in covariance fixture (n={BANKNOTE_N}, unbiased-to-n factor {c_n:.10g})")
-            X = None
-        else:
-            ds = load_csv(data_path)
-            if (ds.n, ds.p) != (85, 4):
-                click.echo(
-                    f"warning: expected an 85×4 measurement matrix, got {ds.n}×{ds.p}; "
-                    "proceeding generically",
-                    err=True,
-                )
-            s = summarize(ds.values)
-            X = ds.values
-            click.echo(f"source: {data_path} (n={ds.n}, p={ds.p})")
-    except (ParseError, DegeneracyError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    if data_path is None:
+        ds = load_csv(banknote_fixture_path())
+        printed = ds.values
+        c_n = (BANKNOTE_N - 1) / BANKNOTE_N
+        s = summary_from_covariance(c_n * printed, BANKNOTE_N)
+        click.echo(f"source: built-in covariance fixture (n={BANKNOTE_N}, unbiased-to-n factor {c_n:.10g})")
+        X = None
+    else:
+        ds = load_csv(data_path)
+        if (ds.n, ds.p) != (85, 4):
+            click.echo(
+                f"warning: expected an 85×4 measurement matrix, got {ds.n}×{ds.p}; "
+                "proceeding generically",
+                err=True,
+            )
+        s = summarize(ds.values)
+        X = ds.values
+        click.echo(f"source: {data_path} (n={ds.n}, p={ds.p})")
     click.echo("columns: " + ",".join(ds.columns))
     click.echo("eigenvalues: " + " ".join(f"{lam:.8g}" for lam in s.eigen.values))
     click.echo("first eigenvector: " + " ".join(f"{x:+.6f}" for x in s.eigen.vectors[:, 0]))

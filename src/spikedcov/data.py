@@ -19,10 +19,11 @@ __all__ = ["Dataset", "ParseError", "load_csv", "banknote_fixture_path"]
 
 
 class ParseError(ValueError):
-    """CSV parse failure; carries the 1-based line number."""
+    """CSV parse failure; carries the 1-based line number, and its message
+    names the file."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path: str):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
 
 
@@ -47,24 +48,25 @@ def load_csv(path) -> Dataset:
 
     First row is the header; every body cell must parse as a finite float.
     Ragged rows, non-numeric cells (e.g. "NA"), and empty files raise
-    :class:`ParseError` naming the offending line (and column).
+    :class:`ParseError` naming the file and the offending line (and column).
     """
     import csv
 
-    with open(os.fspath(path), newline="") as fh:
+    path = os.fspath(path)
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
     if not rows:
-        raise ParseError("empty file", line=1)
+        raise ParseError("empty file", line=1, path=path)
     header_line, header = rows[0]
     columns = tuple(name.strip() for name in header)
     if not columns or any(not c for c in columns):
-        raise ParseError("missing or blank column name in header", line=header_line)
+        raise ParseError("missing or blank column name in header", line=header_line, path=path)
     p = len(columns)
     body = []
     for lineno, row in rows[1:]:
         if len(row) != p:
-            raise ParseError(f"expected {p} fields, found {len(row)}", line=lineno)
+            raise ParseError(f"expected {p} fields, found {len(row)}", line=lineno, path=path)
         parsed = []
         for col, cell in enumerate(row):
             try:
@@ -73,16 +75,18 @@ def load_csv(path) -> Dataset:
                 raise ParseError(
                     f"non-numeric value {cell.strip()!r} in column {columns[col]!r}",
                     line=lineno,
+                    path=path,
                 ) from None
             if not np.isfinite(value):
                 raise ParseError(
                     f"non-finite value {cell.strip()!r} in column {columns[col]!r}",
                     line=lineno,
+                    path=path,
                 )
             parsed.append(value)
         body.append(parsed)
     if not body:
-        raise ParseError("no data rows after the header", line=header_line)
+        raise ParseError("no data rows after the header", line=header_line, path=path)
     return Dataset(columns=columns, values=np.array(body, dtype=float))
 
 

@@ -130,8 +130,8 @@ def summary_from_covariance(S: np.ndarray, n: int) -> SampleSummary:
     any statistic here.  A singular S raises DegeneracyError, by the rule
     :func:`summarize` applies.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not (n >= 2 and float(n).is_integer()):
+        raise ValueError(f"n must be an integer sample size of at least 2, got {n!r}")
     eigen = _nonsingular_eigen(S)
     S = np.asarray(S, dtype=float)
     return SampleSummary(n=n, mean=np.zeros(S.shape[0]), cov=S, eigen=eigen)

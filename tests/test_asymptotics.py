@@ -786,6 +786,10 @@ class TestJointDensity:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             joint_eigenvalue_density(np.array([0.0, 1.0]))
+        # a nan difference passes the sort check, so these returned nan
+        for ell in ([np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                joint_eigenvalue_density(np.array(ell))
 
 
 class TestNoncentralities:

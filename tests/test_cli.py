@@ -289,6 +289,12 @@ class TestSimulateCommand:
         )
         assert result.exit_code != 0
         assert "cauchy" in result.output
+        # t3 parses as a family; the library's own rule refuses it
+        result = runner.invoke(
+            main, ["simulate", "--experiment", "null", "--set", "families=t3", "--out", "x"]
+        )
+        assert result.exit_code == 1
+        assert "Error: Student-t radial families require nu > 4" in result.output
 
     def test_invalid_experiment_choice(self, runner):
         result = runner.invoke(main, ["simulate", "--experiment", "nope", "--out", "x"])
@@ -532,6 +538,36 @@ def test_bad_numeric_input_exits_with_one_error_line(runner, tmp_path, args):
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1, result.output
     assert BAD_NUMERIC_MESSAGES.get(tuple(args), "") in errors[0]
+
+
+# File errors that no command words itself.  BIN is a file that is not
+# UTF-8; MISSING a directory that does not exist.
+FILE_ERRORS = {
+    "test BIN": (["test", "BIN", "--theta0", "1,0"], "codec can't decode"),
+    "banknote BIN": (["banknote", "--data", "BIN"], "codec can't decode"),
+    "simulate --config BIN": (
+        ["simulate", "--experiment", "null", "--config", "BIN", "--out", "OUT"],
+        "codec can't decode",
+    ),
+    "simulate --out MISSING": (
+        ["simulate", "--experiment", "null", "--out", "MISSING"],
+        "--out directory",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, message", FILE_ERRORS.values(), ids=FILE_ERRORS)
+def test_file_error_exits_with_one_error_line(runner, tmp_path, monkeypatch, args, message):
+    seen = capture_configs(monkeypatch)
+    files = {"OUT": tmp_path / "o", "MISSING": tmp_path / "missing" / "o", "BIN": tmp_path / "bin"}
+    files["BIN"].write_bytes(b"a,b\n\xff\xfe,1\n")
+    result = runner.invoke(main, [str(files.get(a, a)) for a in args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    assert message in errors[0]
+    assert seen == []  # no grid ran
 
 
 def test_version(runner):

@@ -32,6 +32,7 @@ def test_ragged_row_names_line_and_counts(tmp_path):
     assert exc.value.line == 3
     msg = str(exc.value)
     assert "line 3" in msg and "3" in msg and "2" in msg
+    assert msg.startswith(f"{f}: line 3: ")
 
 
 def test_non_numeric_names_column(tmp_path):

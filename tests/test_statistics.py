@@ -135,6 +135,12 @@ class TestSummarize:
         np.testing.assert_array_equal(s.eigen.values, [3.0, 2.0, 1.0])
         np.testing.assert_array_equal(s.mean, np.zeros(3))
 
+    @pytest.mark.parametrize("n", [1, 0, np.nan, np.inf, 2.5], ids=str)
+    def test_from_covariance_n_is_a_sample_size(self, n):
+        # nan, inf and 2.5 passed an n < 2 check and gave a nan or inf Q_A
+        with pytest.raises(ValueError, match="n must be an integer sample size"):
+            summary_from_covariance(np.diag([3.0, 2.0, 1.0]), n)
+
 
 class TestAnderson:
     def test_dual_spectral_form(self):
